@@ -17,6 +17,7 @@ import os
 import sys
 from typing import Sequence
 
+from . import tolerances
 from .scenarios import (
     CSV_SCHEMAS,
     SCENARIOS,
@@ -120,28 +121,32 @@ _TUNABLE_TOLERANCES = (
 )
 
 
-def _apply_tolerance_overrides(pairs: Sequence[str]) -> None:
-    from . import tolerances
-
-    overrides = _parse_kv(pairs)
-    for key, value in overrides.items():
+def _apply_tolerance_overrides(pairs: Sequence[str]) -> dict[str, float]:
+    """Set the named tolerances and return the values they replace."""
+    overrides = {}
+    for key, value in _parse_kv(pairs).items():
         name = key.upper()
         if name not in _TUNABLE_TOLERANCES:
             raise SystemExit(
                 f"unknown tolerance {key!r}; tunable: "
                 + ", ".join(t.lower() for t in _TUNABLE_TOLERANCES)
             )
+        overrides[name] = value
+    previous = {name: getattr(tolerances, name) for name in overrides}
+    for name, value in overrides.items():
         setattr(tolerances, name, value)
+    return previous
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    # --tol overrides hold for this call only
+    previous: dict[str, float] = {}
     try:
         if args.command == "scenario":
-            if args.tol:
-                _apply_tolerance_overrides(args.tol)
+            previous = _apply_tolerance_overrides(args.tol)
             cfg = ScenarioConfig(
                 scenario=args.name,
                 params=_parse_kv(args.param),
@@ -179,6 +184,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        for name, value in previous.items():
+            setattr(tolerances, name, value)
     return 0
 
 

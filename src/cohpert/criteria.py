@@ -18,18 +18,15 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .channels import QuantumChannel, apply_matrix, complement, tensor_all
+from .channels import QuantumChannel, complement, tensor_all
 from .errors import NoSignChangeError, RankCaseError
 from .info import coherent_information, golden_section_maximize
-from .linalg import DensityMatrix, psd_min_eig, spectral_decompose
+from .linalg import DensityMatrix, psd_min_eig
 from .perturbation import (
+    FamilyEvaluator,
     PerturbationFamily,
     admissible_radius,
-    f_eval,
-    log_weighted_trace,
     state_at,
-    w0_trace,
-    w_trace,
 )
 from .tolerances import resolve
 
@@ -127,73 +124,20 @@ def _sense_adjust(out_side: float, env_side: float, sense: str) -> tuple[float, 
     return (out_side, env_side) if sense == "positive_f" else (env_side, out_side)
 
 
-@dataclass(frozen=True)
-class _ChannelData:
-    """Spectral data of both channel outputs for one perturbation family."""
-
-    out_dec: object
-    env_dec: object
-    out_a1: np.ndarray
-    env_a1: np.ndarray
-    out_a2: np.ndarray
-    env_a2: np.ndarray
-    out_full: bool
-    env_full: bool
-    kernel_tol: float
-
-    @classmethod
-    def compute(cls, ch: QuantumChannel, fam: PerturbationFamily, kernel_tol: float) -> "_ChannelData":
-        comp = complement(ch)
-        out_dec = spectral_decompose(apply_matrix(ch, fam.base.matrix))
-        env_dec = spectral_decompose(apply_matrix(comp, fam.base.matrix))
-        return cls(
-            out_dec=out_dec,
-            env_dec=env_dec,
-            out_a1=apply_matrix(ch, fam.a1.matrix),
-            env_a1=apply_matrix(comp, fam.a1.matrix),
-            out_a2=apply_matrix(ch, fam.a2.matrix),
-            env_a2=apply_matrix(comp, fam.a2.matrix),
-            out_full=out_dec.is_full_rank(kernel_tol),
-            env_full=env_dec.is_full_rank(kernel_tol),
-            kernel_tol=kernel_tol,
-        )
-
-    def kernel_trace(self, side: str) -> float:
-        dec, a1 = (self.out_dec, self.out_a1) if side == "out" else (self.env_dec, self.env_a1)
-        idx = dec.kernel_indices(self.kernel_tol)
-        if not idx:
-            return 0.0
-        p0 = sum(dec.projectors[i].matrix for i in idx)
-        return float(np.trace(p0 @ a1).real)
-
-    def cluster_traces(self, side: str) -> tuple[tuple[str, float], ...]:
-        dec, a1 = (self.out_dec, self.out_a1) if side == "out" else (self.env_dec, self.env_a1)
-        return tuple(
-            (f"{side}[{i}]", float(np.trace(p.matrix @ a1).real))
-            for i, p in enumerate(dec.projectors)
-        )
-
-    def condition_warnings(self) -> tuple[str, ...]:
-        """Numerical-trust flags: nearly merged clusters shrink resolvent
-        denominators, and a non-PSD kernel block of the first-order image
-        breaks the kernel-splitting analysis."""
-        out: list[str] = []
-        for dec in (self.out_dec, self.env_dec):
-            gaps = [a - b for a, b in zip(dec.eigenvalues, dec.eigenvalues[1:])]
-            if gaps and min(gaps) < 10.0 * dec.cluster_tol:
-                out.append(WARN_NEAR_DEGENERATE)
-                break
-        for side, dec, a1, full in (
-            ("out", self.out_dec, self.out_a1, self.out_full),
-            ("env", self.env_dec, self.env_a1, self.env_full),
-        ):
-            if full:
-                continue
-            p0 = sum(dec.projectors[i].matrix for i in dec.kernel_indices(self.kernel_tol))
-            block = p0 @ a1 @ p0
-            if float(np.linalg.eigvalsh((block + block.conj().T) / 2.0)[0]) < -1e-9:
-                out.append(f"{WARN_KERNEL_PSD}:{side}")
-        return tuple(out)
+def _condition_warnings(ev: FamilyEvaluator) -> list[str]:
+    """Numerical-trust flags: nearly merged clusters shrink resolvent
+    denominators, and a non-PSD kernel block of the first-order image
+    breaks the kernel-splitting analysis."""
+    out: list[str] = []
+    for dec in (ev.out.dec, ev.env.dec):
+        gaps = [a - b for a, b in zip(dec.eigenvalues, dec.eigenvalues[1:])]
+        if gaps and min(gaps) < 10.0 * dec.cluster_tol:
+            out.append(WARN_NEAR_DEGENERATE)
+            break
+    for side in (ev.out, ev.env):
+        if not side.full and not side.kernel_block_psd():
+            out.append(f"{WARN_KERNEL_PSD}:{side.name}")
+    return out
 
 
 def check_criterion1(
@@ -210,16 +154,18 @@ def check_criterion1(
     winning output side makes the first derivative of ``f`` diverge with the
     requested sign.
     """
+    return _criterion1(FamilyEvaluator(ch, fam, kernel_tol), sense, decision_tol)
+
+
+def _criterion1(ev: FamilyEvaluator, sense: str, decision_tol: float | None = None) -> CriterionReport:
     _check_sense(sense)
-    kernel_tol = resolve(kernel_tol, "KERNEL_TOL")
     decision_tol = resolve(decision_tol, "DECISION_TOL")
-    data = _ChannelData.compute(ch, fam, kernel_tol)
-    if data.out_full and data.env_full:
+    if ev.out.full and ev.env.full:
         return CriterionReport("C1", sense, "inapplicable", 0.0, 0.0, 0.0)
-    lhs, rhs = _sense_adjust(data.kernel_trace("out"), data.kernel_trace("env"), sense)
+    lhs, rhs = _sense_adjust(ev.out.kernel_trace(), ev.env.kernel_trace(), sense)
     margin = lhs - rhs
     verdict = "fires" if margin > decision_tol else "fails"
-    warnings = list(data.condition_warnings())
+    warnings = _condition_warnings(ev)
     if 0.0 < margin <= decision_tol:
         warnings.append(WARN_NEAR_ZERO_MARGIN)
     return CriterionReport("C1", sense, verdict, lhs, rhs, margin, warnings=tuple(warnings))
@@ -240,23 +186,36 @@ def check_criterion2(
     second-order kernel terms (``w0_trace``; a full-rank side contributes
     zero).
     """
+    return _criterion2(
+        FamilyEvaluator(ch, fam, kernel_tol), sense, first_order_tol, decision_tol
+    )
+
+
+def _criterion2(
+    ev: FamilyEvaluator,
+    sense: str,
+    first_order_tol: float | None = None,
+    decision_tol: float | None = None,
+) -> CriterionReport:
     _check_sense(sense)
-    kernel_tol = resolve(kernel_tol, "KERNEL_TOL")
     first_order_tol = resolve(first_order_tol, "FIRST_ORDER_TOL")
     decision_tol = resolve(decision_tol, "DECISION_TOL")
-    data = _ChannelData.compute(ch, fam, kernel_tol)
-    if data.out_full and data.env_full:
+    if ev.out.full and ev.env.full:
         return CriterionReport("C2", sense, "inapplicable", 0.0, 0.0, 0.0)
 
-    checks = data.cluster_traces("out") + data.cluster_traces("env")
+    checks = tuple(
+        (f"{side.name}[{i}]", value)
+        for side in (ev.out, ev.env)
+        for i, value in enumerate(side.cluster_traces())
+    )
     offending = [name for name, value in checks if abs(value) > first_order_tol]
 
-    out_term = 0.0 if data.out_full else w0_trace(data.out_dec, data.out_a1, data.out_a2, kernel_tol)
-    env_term = 0.0 if data.env_full else w0_trace(data.env_dec, data.env_a1, data.env_a2, kernel_tol)
+    out_term = 0.0 if ev.out.full else ev.out.w0()
+    env_term = 0.0 if ev.env.full else ev.env.w0()
     lhs, rhs = _sense_adjust(out_term, env_term, sense)
     margin = lhs - rhs
 
-    warnings = list(data.condition_warnings())
+    warnings = _condition_warnings(ev)
     if offending:
         warnings.append(WARN_FIRST_ORDER_VIOLATED + ":" + ",".join(offending))
         verdict = "fails"
@@ -288,32 +247,40 @@ def check_criterion3(
     ``tr(W)`` comparison and the report is labeled ``C3``; otherwise it is
     labeled ``THM2_FULL2``.
     """
+    return _criterion3(
+        FamilyEvaluator(ch, fam, kernel_tol), sense, first_order_tol, decision_tol
+    )
+
+
+def _criterion3(
+    ev: FamilyEvaluator,
+    sense: str,
+    first_order_tol: float | None = None,
+    decision_tol: float | None = None,
+) -> CriterionReport:
     _check_sense(sense)
-    kernel_tol = resolve(kernel_tol, "KERNEL_TOL")
     first_order_tol = resolve(first_order_tol, "FIRST_ORDER_TOL")
     decision_tol = resolve(decision_tol, "DECISION_TOL")
-    data = _ChannelData.compute(ch, fam, kernel_tol)
-    if not (data.out_full and data.env_full):
+    out, env = ev.out, ev.env
+    if not (out.full and env.full):
         return CriterionReport("C3", sense, "inapplicable", 0.0, 0.0, 0.0)
 
-    t1_out = log_weighted_trace(data.out_dec, data.out_a1, kernel_tol)
-    t1_env = log_weighted_trace(data.env_dec, data.env_a1, kernel_tol)
-    t2_out = log_weighted_trace(data.out_dec, data.out_a2, kernel_tol)
-    t2_env = log_weighted_trace(data.env_dec, data.env_a2, kernel_tol)
-    w_out = w_trace(data.out_dec, data.out_a1, kernel_tol)
-    w_env = w_trace(data.env_dec, data.env_a1, kernel_tol)
+    t1_out = out.log_trace(out.a1)
+    t1_env = env.log_trace(env.a1)
+    t2_out = out.log_trace(out.a2)
+    t2_env = env.log_trace(env.a2)
 
     label = "C3" if max(abs(t2_out), abs(t2_env)) <= first_order_tol else "THM2_FULL2"
     checks = (("out[log_a1]", t1_out), ("env[log_a1]", t1_env))
 
-    out_side = w_out + 2.0 * t2_out
-    env_side = w_env + 2.0 * t2_env
+    out_side = out.w() + 2.0 * t2_out
+    env_side = env.w() + 2.0 * t2_env
     # firing in the positive sense needs the environment side to dominate:
     # f''(0) = (env side) - (out side) in natural-log units
     lhs, rhs = _sense_adjust(env_side, out_side, sense)
     margin = lhs - rhs
 
-    warnings = list(data.condition_warnings())
+    warnings = _condition_warnings(ev)
     if abs(t1_out - t1_env) > first_order_tol:
         warnings.append(WARN_FIRST_ORDER_VIOLATED + ":log_a1")
         verdict = "fails"
@@ -341,27 +308,21 @@ def classify_first_order(
     never fire: the first derivative is non-positive for every traceless
     direction.
     """
-    kernel_tol = resolve(kernel_tol, "KERNEL_TOL")
     decision_tol = resolve(decision_tol, "DECISION_TOL")
-    data = _ChannelData.compute(ch, fam, kernel_tol)
-    if not (data.out_full and data.env_full):
+    ev = FamilyEvaluator(ch, fam, kernel_tol)
+    if not (ev.out.full and ev.env.full):
         raise RankCaseError("first-order classification needs both outputs full rank")
-    t1_out = log_weighted_trace(data.out_dec, data.out_a1, kernel_tol)
-    t1_env = log_weighted_trace(data.env_dec, data.env_a1, kernel_tol)
+    t1_out = ev.out.log_trace(ev.out.a1)
+    t1_env = ev.env.log_trace(ev.env.a1)
     margin = t1_env - t1_out
     verdict = "fires" if margin > decision_tol else "fails"
     return CriterionReport("THM1_FULLRANK", "positive_f", verdict, t1_env, t1_out, margin)
 
 
-_CHECKS: tuple[Callable, ...] = (check_criterion1, check_criterion2, check_criterion3)
+_CHECKS: tuple[Callable, ...] = (_criterion1, _criterion2, _criterion3)
 
 
-def _run_criteria(
-    ch: QuantumChannel,
-    fam: PerturbationFamily,
-    sense: str,
-    kernel_tol: float | None,
-) -> CriterionReport:
+def _run_criteria(ev: FamilyEvaluator, sense: str) -> CriterionReport:
     """Run C1 -> C2 -> C3 and return the first firing report.
 
     When nothing fires, the last applicable report is returned so that the
@@ -369,7 +330,7 @@ def _run_criteria(
     """
     last_applicable: CriterionReport | None = None
     for check in _CHECKS:
-        report = check(ch, fam, sense, kernel_tol=kernel_tol)
+        report = check(ev, sense)
         if report.verdict == "inapplicable":
             continue
         if report.fires:
@@ -426,32 +387,32 @@ def detect_superadditivity(
         product = np.kron(product, state.matrix)
     if np.linalg.norm(product - fam.base.matrix) > 1e-10:
         raise ValueError("family base state is not the tensor product of the optimal states")
-    joint = tensor_all(list(channels))
+    ev = FamilyEvaluator(tensor_all(list(channels)), fam, kernel_tol)
 
-    report = _run_criteria(joint, fam, "positive_f", kernel_tol)
+    report = _run_criteria(ev, "positive_f")
 
     if eps_grid is None:
         eps_grid = default_witness_grid(admissible_radius(fam))
     witness = None
     notes: list[str] = []
     if eps_grid:
-        values = [(eps, f_eval(joint, fam, eps)) for eps in eps_grid]
+        values = list(zip(eps_grid, map(float, ev.f_values(eps_grid))))
         best = max(values, key=lambda t: t[1])
         if best[1] > numeric_margin:
             witness = best
     else:
         notes.append("family admits no positive radius; no witness grid")
 
-    sum_single = sum(
-        coherent_information(state, ch).value for ch, state in zip(channels, optimal_states)
-    )
     inequality = None
     if witness is not None:
         inequality = {
-            "joint_coherent_information_at_witness": coherent_information(
-                state_at(fam, witness[0]), joint
-            ).value,
-            "sum_of_single_channel_coherent_information": sum_single,
+            "joint_coherent_information_at_witness": float(
+                ev.coherent_information([witness[0]])[0]
+            ),
+            "sum_of_single_channel_coherent_information": sum(
+                coherent_information(state, ch).value
+                for ch, state in zip(channels, optimal_states)
+            ),
         }
 
     if report.fires and witness is not None:
@@ -536,11 +497,12 @@ def detect_private_gap(
             _largest_admissible_r(sigma, state_at(fam, eps), psd_tol, r_tol) for eps in eps_grid
         )
 
-    report = _run_criteria(ch, fam, "negative_f", kernel_tol)
+    ev = FamilyEvaluator(ch, fam, kernel_tol)
+    report = _run_criteria(ev, "negative_f")
 
     witness = None
     if eps_grid:
-        values = [(eps, f_eval(ch, fam, eps)) for eps in eps_grid]
+        values = list(zip(eps_grid, map(float, ev.f_values(eps_grid))))
         best = min(values, key=lambda t: t[1])
         if best[1] < -numeric_margin:
             witness = best

@@ -318,3 +318,36 @@ def reduced_resolvent(decomp: SpectralDecomposition, target_index: int) -> Hermi
 def psd_min_eig(H: Union[HermitianOperator, DensityMatrix, MatrixLike]) -> float:
     """Smallest eigenvalue of a Hermitian operator."""
     return float(np.linalg.eigvalsh(_as_matrix(H))[0])
+
+
+def state_spectra(stack: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each matrix in a stack, in one ``eigvalsh`` call.
+
+    Each matrix is checked as :meth:`DensityMatrix.from_matrix` checks one
+    at its default tolerances, with the same exceptions: its anti-Hermitian
+    part must stay within ``HERM_TOL`` of its Frobenius norm, its trace
+    within ``TRACE_TOL`` of 1 and its smallest eigenvalue at least
+    ``-PSD_TOL``.  The eigenvalues are those of the Hermitian parts.
+    ``DensityMatrix.from_matrix`` keeps its own single-matrix checks, which
+    cost less per call on the small states of the line searches.
+    """
+    herm_tol, trace_tol, psd_tol = HERM_TOL, TRACE_TOL, resolve(None, "PSD_TOL")
+    sym = (stack + np.conj(np.swapaxes(stack, -1, -2))) / 2.0
+    residual = np.linalg.norm(stack - sym, axis=(-2, -1))
+    scale = np.maximum(1.0, np.linalg.norm(sym, axis=(-2, -1)))
+    if np.any(residual > herm_tol * scale):
+        worst = float(np.max(residual / scale))
+        raise HermiticityError(
+            f"matrix is not Hermitian: residual {worst:.3e} exceeds {herm_tol:.1e} * |H|_F"
+        )
+    traces = np.trace(sym, axis1=-2, axis2=-1).real
+    off = np.abs(traces - 1.0) > trace_tol
+    if np.any(off):
+        tr = float(traces[off][0])
+        raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond {trace_tol:.1e}")
+    w = np.linalg.eigvalsh(sym)
+    if np.any(w[..., 0] < -psd_tol):
+        raise PositivityError(
+            f"density matrix has eigenvalue {float(w[..., 0].min()):.3e} below -{psd_tol:.1e}"
+        )
+    return w

@@ -5,6 +5,8 @@ Given a base state ``rho`` perturbed along traceless Hermitian directions,
 quantities that control the first and second derivatives of the output
 entropies, classifies the full-rank / rank-deficient cases, and provides
 exact ``f(eps)`` evaluation plus an independent finite-difference oracle.
+:class:`FamilyEvaluator` holds the channel images and spectra of one
+(channel, family) pair, so that each is computed once.
 
 Internally every logarithm here is natural: the trace formulas below are
 derivatives of the natural-log entropy.  Finite derivative values are
@@ -16,18 +18,20 @@ can change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from functools import cached_property
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
 from .channels import QuantumChannel, apply_matrix, complement
 from .errors import RankCaseError
-from .info import coherent_information
+from .info import _entropy_bits
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
     SpectralDecomposition,
     spectral_decompose,
+    state_spectra,
 )
 from .tolerances import resolve
 
@@ -40,6 +44,11 @@ DIVERGENT = "divergent"
 DerivativeValue = Union[float, str, None]
 
 DEFAULT_FD_STEPS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
+
+STACK_ENTRIES = 2 ** 12
+"""Complex entries (64 KiB) in one stacked ``eigvalsh`` call along a family:
+a grid is evaluated in chunks of ``STACK_ENTRIES // dim**2`` points (at
+least one), so peak memory does not grow with the grid."""
 
 RANK_BOTH_FULL = "both_full"
 RANK_ONE_DEFICIENT = "one_deficient"
@@ -96,6 +105,18 @@ def line_between(base: DensityMatrix, target: DensityMatrix) -> PerturbationFami
     return PerturbationFamily.build(base, direction, None, max_order=2)
 
 
+def _line_stacks(
+    base: np.ndarray, a1: np.ndarray, a2: np.ndarray, eps: np.ndarray
+) -> Iterator[np.ndarray]:
+    """``base + e a1 + e^2 a2`` for each ``e`` in ``eps``, in stacks of at most
+    ``STACK_ENTRIES`` entries (or one matrix); the arithmetic is that of
+    ``matrix_at``."""
+    size = max(1, STACK_ENTRIES // base.size)
+    for start in range(0, len(eps), size):
+        e = eps[start:start + size, None, None]
+        yield base + e * a1 + (e * e) * a2
+
+
 def admissible_radius(
     fam: PerturbationFamily,
     psd_tol: float | None = None,
@@ -104,10 +125,10 @@ def admissible_radius(
 ) -> float:
     """Largest certified ``eps`` in (0, 1] keeping ``rho(eps)`` a state.
 
-    Scans a refinement grid for the first failure of positive
-    semidefiniteness, then bisects the boundary to ``radius_tol``.  Returns
-    1.0 (capped) when the whole grid passes and 0.0 when even ``eps = 1e-9``
-    fails.
+    Scans a refinement grid, in stacked eigensolver calls, for the first
+    failure of positive semidefiniteness, then bisects the boundary to
+    ``radius_tol``.  Returns 1.0 (capped) when the whole grid passes and 0.0
+    when even ``eps = 1e-9`` fails.
     """
 
     psd_tol = resolve(psd_tol, "PSD_TOL")
@@ -118,17 +139,15 @@ def admissible_radius(
     if not ok(1e-9):
         return 0.0
     grid = np.linspace(0.0, 1.0, grid_points + 1)[1:]
-    last_good = 1e-9
-    first_bad = None
-    for eps in grid:
-        if ok(float(eps)):
-            last_good = float(eps)
-        else:
-            first_bad = float(eps)
-            break
-    if first_bad is None:
+    stacks = _line_stacks(fam.base.matrix, fam.a1.matrix, fam.a2.matrix, grid)
+    bad = np.flatnonzero(
+        np.concatenate([np.linalg.eigvalsh(stack)[:, 0] for stack in stacks]) < -psd_tol
+    )
+    if not bad.size:
         return 1.0
-    lo, hi = last_good, first_bad
+    first = int(bad[0])
+    lo = float(grid[first - 1]) if first else 1e-9
+    hi = float(grid[first])
     while hi - lo > radius_tol:
         mid = 0.5 * (lo + hi)
         if ok(mid):
@@ -255,9 +274,117 @@ class DerivativeProfile:
     warnings: tuple[str, ...]
 
 
-def _kernel_psd_ok(p0: np.ndarray, b1: np.ndarray, tol: float = 1e-9) -> bool:
-    block = p0 @ b1 @ p0
-    return float(np.linalg.eigvalsh((block + block.conj().T) / 2.0)[0]) >= -tol
+class _Side:
+    """One channel's images of a family's ``base``, ``A1`` and ``A2``, with the
+    spectral decomposition of the base image made on first use."""
+
+    def __init__(self, name: str, ch: QuantumChannel, fam: PerturbationFamily, kernel_tol: float):
+        self.name = name
+        self.kernel_tol = kernel_tol
+        self.state = apply_matrix(ch, fam.base.matrix)
+        self.a1 = apply_matrix(ch, fam.a1.matrix)
+        self.a2 = apply_matrix(ch, fam.a2.matrix)
+
+    @cached_property
+    def dec(self) -> SpectralDecomposition:
+        return spectral_decompose(self.state)
+
+    @property
+    def full(self) -> bool:
+        return self.dec.is_full_rank(self.kernel_tol)
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """Projector ``P0`` onto the kernel of the base image (zero if full rank)."""
+        p0 = np.zeros_like(self.state)
+        for i in self.dec.kernel_indices(self.kernel_tol):
+            p0 = p0 + self.dec.projectors[i].matrix
+        return p0
+
+    def kernel_trace(self) -> float:
+        """``tr(P0 B1)``, the first-order splitting of the kernel."""
+        return 0.0 if self.full else float(np.trace(self.kernel @ self.a1).real)
+
+    def cluster_traces(self) -> tuple[float, ...]:
+        """``tr(P_i B1)`` for every eigenvalue cluster ``i`` of the base image."""
+        return tuple(float(np.trace(p.matrix @ self.a1).real) for p in self.dec.projectors)
+
+    def kernel_block_psd(self, tol: float = 1e-9) -> bool:
+        """Whether ``P0 B1 P0`` is positive semidefinite within ``tol``; the
+        kernel-splitting analysis assumes it is."""
+        block = self.kernel @ self.a1 @ self.kernel
+        return float(np.linalg.eigvalsh((block + block.conj().T) / 2.0)[0]) >= -tol
+
+    def log_trace(self, b: np.ndarray) -> float:
+        """:func:`log_weighted_trace` of ``b`` at the base image."""
+        return log_weighted_trace(self.dec, b, self.kernel_tol)
+
+    def w(self) -> float:
+        """:func:`w_trace` of ``B1`` at the base image."""
+        return w_trace(self.dec, self.a1, self.kernel_tol)
+
+    def w0(self) -> float:
+        """:func:`w0_trace` of ``B1`` and ``B2`` at the base image."""
+        return w0_trace(self.dec, self.a1, self.a2, self.kernel_tol)
+
+
+class FamilyEvaluator:
+    """Everything one (channel, family) pair needs, computed once.
+
+    Builds the canonical complement once, applies the channel (``out``) and
+    the complement (``env``) to ``base``, ``A1`` and ``A2`` once, and keeps
+    each side's spectral decomposition after first use.  The criteria,
+    :func:`derivative_profile` and the detectors read their traces from
+    here.  ``f(eps)`` over a whole grid follows from linearity,
+    ``N(rho(eps)) = N(rho) + eps N(A1) + eps^2 N(A2)``, in one stacked
+    eigensolver call per side and chunk.
+    """
+
+    def __init__(self, ch: QuantumChannel, fam: PerturbationFamily, kernel_tol: float | None = None):
+        self.family = fam
+        self.kernel_tol = resolve(kernel_tol, "KERNEL_TOL")
+        self.out = _Side("out", ch, fam, self.kernel_tol)
+        self.env = _Side("env", complement(ch), fam, self.kernel_tol)
+
+    @property
+    def rank_case(self) -> str:
+        if self.out.full and self.env.full:
+            return RANK_BOTH_FULL
+        if self.out.full or self.env.full:
+            return RANK_ONE_DEFICIENT
+        return RANK_BOTH_DEFICIENT
+
+    def coherent_information(self, eps: Sequence[float]) -> np.ndarray:
+        """``I_c(rho(eps))`` in bits at each ``eps``.
+
+        Makes the checks that :func:`state_at` and
+        :func:`~cohpert.info.coherent_information` make at one point, at the
+        same default tolerances and with the same exceptions: ``rho(eps)``
+        and both images must be states, round-off negatives are clamped and
+        eigenvalues up to ``KERNEL_TOL`` count as zero.
+        """
+        kernel_tol = resolve(None, "KERNEL_TOL")
+        eps = np.asarray(eps, dtype=float)
+        if np.any(eps < 0.0):
+            raise ValueError(f"eps must be non-negative, got {float(eps[eps < 0.0][0])!r}")
+        fam = self.family
+        for stack in _line_stacks(fam.base.matrix, fam.a1.matrix, fam.a2.matrix, eps):
+            state_spectra(stack)
+        out, env = (
+            np.array([
+                _entropy_bits(np.clip(w, 0.0, None), kernel_tol)[0]
+                for stack in _line_stacks(side.state, side.a1, side.a2, eps)
+                for w in state_spectra(stack)
+            ])
+            for side in (self.out, self.env)
+        )
+        return out - env
+
+    def f_values(self, eps: Sequence[float]) -> np.ndarray:
+        """``f(eps) = I_c(rho(eps)) - I_c(rho)`` in bits at each ``eps``;
+        ``I_c(rho)`` comes from the same stacked calls, at ``eps = 0``."""
+        values = self.coherent_information(np.concatenate(([0.0], np.asarray(eps, dtype=float))))
+        return values[1:] - values[0]
 
 
 def derivative_profile(
@@ -276,39 +403,18 @@ def derivative_profile(
     ``log(eps)`` blow-up of the derivative in question, ``inverse`` for
     ``1/eps``).
     """
-    kernel_tol = resolve(kernel_tol, "KERNEL_TOL")
     first_order_tol = resolve(first_order_tol, "FIRST_ORDER_TOL")
     decision_tol = resolve(decision_tol, "DECISION_TOL")
-    comp = complement(ch)
-    out_state = apply_matrix(ch, fam.base.matrix)
-    env_state = apply_matrix(comp, fam.base.matrix)
-    out_a1 = apply_matrix(ch, fam.a1.matrix)
-    env_a1 = apply_matrix(comp, fam.a1.matrix)
-    out_a2 = apply_matrix(ch, fam.a2.matrix)
-    env_a2 = apply_matrix(comp, fam.a2.matrix)
-
-    out_dec = spectral_decompose(out_state)
-    env_dec = spectral_decompose(env_state)
-    out_full = out_dec.is_full_rank(kernel_tol)
-    env_full = env_dec.is_full_rank(kernel_tol)
-    if out_full and env_full:
-        rank_case = RANK_BOTH_FULL
-    elif out_full or env_full:
-        rank_case = RANK_ONE_DEFICIENT
-    else:
-        rank_case = RANK_BOTH_DEFICIENT
-
-    cluster_out = tuple(
-        float(np.trace(p.matrix @ out_a1).real) for p in out_dec.projectors
-    )
-    cluster_env = tuple(
-        float(np.trace(p.matrix @ env_a1).real) for p in env_dec.projectors
-    )
+    ev = FamilyEvaluator(ch, fam, kernel_tol)
+    out, env = ev.out, ev.env
+    rank_case = ev.rank_case
+    cluster_out = out.cluster_traces()
+    cluster_env = env.cluster_traces()
 
     warnings: list[str] = []
     terms: dict[str, float | None] = {
-        "kernel_trace_out": 0.0,
-        "kernel_trace_env": 0.0,
+        "kernel_trace_out": out.kernel_trace(),
+        "kernel_trace_env": env.kernel_trace(),
         "log_trace_a1_out": None,
         "log_trace_a1_env": None,
         "log_trace_a2_out": None,
@@ -318,30 +424,15 @@ def derivative_profile(
         "w0_out": 0.0,
         "w0_env": 0.0,
     }
-
-    if out_full:
-        terms["log_trace_a1_out"] = log_weighted_trace(out_dec, out_a1, kernel_tol)
-        terms["log_trace_a2_out"] = log_weighted_trace(out_dec, out_a2, kernel_tol)
-        terms["w_out"] = w_trace(out_dec, out_a1, kernel_tol)
-    else:
-        kernel = out_dec.kernel_indices(kernel_tol)
-        p0 = sum(out_dec.projectors[i].matrix for i in kernel)
-        terms["kernel_trace_out"] = float(np.trace(p0 @ out_a1).real)
-        terms["w0_out"] = w0_trace(out_dec, out_a1, out_a2, kernel_tol)
-        if not _kernel_psd_ok(p0, out_a1):
-            warnings.append(WARN_KERNEL_PSD_OUT)
-
-    if env_full:
-        terms["log_trace_a1_env"] = log_weighted_trace(env_dec, env_a1, kernel_tol)
-        terms["log_trace_a2_env"] = log_weighted_trace(env_dec, env_a2, kernel_tol)
-        terms["w_env"] = w_trace(env_dec, env_a1, kernel_tol)
-    else:
-        kernel = env_dec.kernel_indices(kernel_tol)
-        p0 = sum(env_dec.projectors[i].matrix for i in kernel)
-        terms["kernel_trace_env"] = float(np.trace(p0 @ env_a1).real)
-        terms["w0_env"] = w0_trace(env_dec, env_a1, env_a2, kernel_tol)
-        if not _kernel_psd_ok(p0, env_a1):
-            warnings.append(WARN_KERNEL_PSD_ENV)
+    for side, warning in ((out, WARN_KERNEL_PSD_OUT), (env, WARN_KERNEL_PSD_ENV)):
+        if side.full:
+            terms[f"log_trace_a1_{side.name}"] = side.log_trace(side.a1)
+            terms[f"log_trace_a2_{side.name}"] = side.log_trace(side.a2)
+            terms[f"w_{side.name}"] = side.w()
+        else:
+            terms[f"w0_{side.name}"] = side.w0()
+            if not side.kernel_block_psd():
+                warnings.append(warning)
 
     fprime0: DerivativeValue
     fsecond0: DerivativeValue
@@ -383,8 +474,8 @@ def derivative_profile(
             # block forces the block itself to zero), so the kernel only
             # splits at second order and the first derivative is finite,
             # driven by the strictly positive part of both spectra
-            t_out = _support_log_trace(out_dec, out_a1, kernel_tol)
-            t_env = _support_log_trace(env_dec, env_a1, kernel_tol)
+            t_out = _support_log_trace(out.dec, out.a1, ev.kernel_tol)
+            t_env = _support_log_trace(env.dec, env.a1, ev.kernel_tol)
             terms["log_trace_a1_out"] = t_out
             terms["log_trace_a1_env"] = t_env
             fprime0 = (-t_out + t_env) / LN2
@@ -410,9 +501,7 @@ def derivative_profile(
 
 def f_eval(ch: QuantumChannel, fam: PerturbationFamily, eps: float) -> float:
     """Exact coherent-information shift ``I_c(rho(eps)) - I_c(rho)`` in bits."""
-    base = coherent_information(fam.base, ch)
-    shifted = coherent_information(state_at(fam, eps), ch)
-    return shifted.value - base.value
+    return float(FamilyEvaluator(ch, fam).f_values([eps])[0])
 
 
 def _richardson(values: Sequence[float], order: int) -> list[float]:
@@ -455,7 +544,7 @@ def fd_derivatives(
         if abs(big / small - 2.0) > 1e-9:
             raise ValueError("steps must halve between refinements")
     steps = list(reversed(steps))  # largest first
-    f_vals = {h: f_eval(ch, fam, h) for h in steps}
+    f_vals = dict(zip(steps, map(float, FamilyEvaluator(ch, fam).f_values(steps))))
 
     first_raw = [f_vals[h] / h for h in steps]
     first: DerivativeValue

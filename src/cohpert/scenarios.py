@@ -21,9 +21,7 @@ import numpy as np
 
 from .channels import (
     amplitude_damping_channel,
-    apply_matrix,
     channel_from_json,
-    complement,
     depolarizing_channel,
     dephrasure_channel,
     matrix_from_pairs,
@@ -40,10 +38,10 @@ from .criteria import (
     detect_superadditivity,
     threshold_scan,
 )
-from .errors import NoSignChangeError
+from .errors import NoSignChangeError, RankCaseError
 from .info import coherent_information, optimal_line_search
-from .linalg import DensityMatrix, HermitianOperator, spectral_decompose
-from .perturbation import PerturbationFamily, line_between, w_trace
+from .linalg import DensityMatrix, HermitianOperator
+from .perturbation import PerturbationFamily, line_between
 
 SCENARIOS = (
     "depolarizing-n2",
@@ -208,7 +206,25 @@ def _bracket_threshold(
 
 
 # ---------------------------------------------------------------------------
-# the scenarios
+# the scenarios and their CSV columns
+
+DEPOLARIZING_N2_COLUMNS = (
+    "p", "trace_w_out", "trace_w_env", "margin", "verdict",
+    "ic_single", "witness_eps", "witness_f", "conclusion",
+)
+HASHING_CURVE_COLUMNS = ("p", "ic_bits")
+GAP_DEPOLARIZING_COLUMNS = (
+    "p", "kernel_trace_out", "kernel_trace_env", "kernel_trace_env_analytic",
+    "margin", "verdict", "admissible_r", "witness_eps", "witness_f", "conclusion",
+)
+PLATYPUS_AD_COLUMNS = (
+    "s", "w_star", "second_order_out", "second_order_env", "margin",
+    "verdict", "witness_eps", "witness_f", "conclusion",
+)
+DEPHRASURE_GAP_COLUMNS = (
+    "q", "ic_primary", "u_primary", "ic_complement_line",
+    "below_positive_ic_boundary", "admissible_r", "conclusion",
+)
 
 
 def _scenario_depolarizing_n2(cfg: ScenarioConfig) -> dict:
@@ -217,20 +233,20 @@ def _scenario_depolarizing_n2(cfg: ScenarioConfig) -> dict:
 
     def row(p: float) -> dict:
         ch = depolarizing_channel(p)
-        joint = tensor(ch, ch)
-        out_dec = spectral_decompose(apply_matrix(joint, fam.base.matrix))
-        env_dec = spectral_decompose(apply_matrix(complement(joint), fam.base.matrix))
-        tw_out = w_trace(out_dec, apply_matrix(joint, fam.a1.matrix))
-        tw_env = w_trace(env_dec, apply_matrix(complement(joint), fam.a1.matrix))
         mixed = DensityMatrix.maximally_mixed(2)
         detector = detect_superadditivity([ch, ch], [mixed, mixed], fam)
+        # with both outputs full rank the detector decides by C3, whose sides
+        # are tr(W) plus 2 tr(N(A2) ln N(rho)) = 0, as the tilt has A2 = 0
+        report = detector.criterion_report
+        if report.criterion != "C3":
+            raise RankCaseError(f"p={p!r}: the w traces need both outputs full rank")
         witness = detector.numeric_confirmation
         return {
             "p": p,
-            "trace_w_out": tw_out,
-            "trace_w_env": tw_env,
-            "margin": tw_env - tw_out,
-            "verdict": detector.criterion_report.verdict,
+            "trace_w_out": report.rhs,
+            "trace_w_env": report.lhs,
+            "margin": report.margin,
+            "verdict": report.verdict,
             "ic_single": coherent_information(mixed, ch).value,
             "witness_eps": None if witness is None else witness[0],
             "witness_f": None if witness is None else witness[1],
@@ -254,12 +270,8 @@ def _scenario_depolarizing_n2(cfg: ScenarioConfig) -> dict:
     threshold, note = _bracket_threshold(margins, refine)
     detectors = [r.pop("_detector") for r in rows]
     firing = [d.to_json() for d in detectors if d.conclusion == "superadditive"]
-    columns = [
-        "p", "trace_w_out", "trace_w_env", "margin", "verdict",
-        "ic_single", "witness_eps", "witness_f", "conclusion",
-    ]
     return {
-        "columns": columns,
+        "columns": DEPOLARIZING_N2_COLUMNS,
         "rows": rows,
         "report": {
             "threshold": threshold,
@@ -284,7 +296,7 @@ def _scenario_hashing_curve(cfg: ScenarioConfig) -> dict:
 
     threshold, note = _bracket_threshold(margins, refine)
     return {
-        "columns": ["p", "ic_bits"],
+        "columns": HASHING_CURVE_COLUMNS,
         "rows": rows,
         "report": {"zero_crossing": threshold, "note": note},
     }
@@ -321,12 +333,8 @@ def _scenario_gap_depolarizing(cfg: ScenarioConfig) -> dict:
 
     rows = _map_grid(row, values, cfg.jobs)
     detectors = [r.pop("_detector") for r in rows]
-    columns = [
-        "p", "kernel_trace_out", "kernel_trace_env", "kernel_trace_env_analytic",
-        "margin", "verdict", "admissible_r", "witness_eps", "witness_f", "conclusion",
-    ]
     return {
-        "columns": columns,
+        "columns": GAP_DEPOLARIZING_COLUMNS,
         "rows": rows,
         "report": {"detections": [d.to_json() for d in detectors]},
     }
@@ -370,12 +378,8 @@ def _scenario_platypus_ad(cfg: ScenarioConfig) -> dict:
     rows = _map_grid(row, grid.values(), cfg.jobs)
     detectors = [r.pop("_detector") for r in rows]
     firing = [d.to_json() for d in detectors if d.conclusion == "superadditive"]
-    columns = [
-        "s", "w_star", "second_order_out", "second_order_env", "margin",
-        "verdict", "witness_eps", "witness_f", "conclusion",
-    ]
     return {
-        "columns": columns,
+        "columns": PLATYPUS_AD_COLUMNS,
         "rows": rows,
         "report": {"gamma": gamma, "a": a, "superadditive_detections": firing},
     }
@@ -403,12 +407,8 @@ def _scenario_dephrasure_gap(cfg: ScenarioConfig) -> dict:
 
     rows = _map_grid(row, grid.values(), cfg.jobs)
     detectors = [r.pop("_detector") for r in rows]
-    columns = [
-        "q", "ic_primary", "u_primary", "ic_complement_line",
-        "below_positive_ic_boundary", "admissible_r", "conclusion",
-    ]
     return {
-        "columns": columns,
+        "columns": DEPHRASURE_GAP_COLUMNS,
         "rows": rows,
         "report": {
             "p": p,
@@ -458,11 +458,14 @@ _SCENARIO_FUNCS = {
 }
 
 CSV_SCHEMAS = {
-    "depolarizing-n2": "p,trace_w_out,trace_w_env,margin,verdict,ic_single,witness_eps,witness_f,conclusion",
-    "platypus-ad": "s,w_star,second_order_out,second_order_env,margin,verdict,witness_eps,witness_f,conclusion",
-    "gap-depolarizing": "p,kernel_trace_out,kernel_trace_env,kernel_trace_env_analytic,margin,verdict,admissible_r,witness_eps,witness_f,conclusion",
-    "dephrasure-gap": "q,ic_primary,u_primary,ic_complement_line,below_positive_ic_boundary,admissible_r,conclusion",
-    "hashing-curve": "p,ic_bits",
+    name: ",".join(columns)
+    for name, columns in (
+        ("depolarizing-n2", DEPOLARIZING_N2_COLUMNS),
+        ("platypus-ad", PLATYPUS_AD_COLUMNS),
+        ("gap-depolarizing", GAP_DEPOLARIZING_COLUMNS),
+        ("dephrasure-gap", DEPHRASURE_GAP_COLUMNS),
+        ("hashing-curve", HASHING_CURVE_COLUMNS),
+    )
 }
 
 

@@ -21,13 +21,15 @@ from cohpert import (
     line_between,
     platypus_channel,
     reduced_resolvent,
+    coherent_information,
     spectral_decompose,
     state_at,
     tensor,
+    tensor_all,
     w0_trace,
     w_trace,
 )
-from cohpert.perturbation import DIVERGENT, NEGATIVE_INFINITY
+from cohpert.perturbation import DIVERGENT, NEGATIVE_INFINITY, STACK_ENTRIES, FamilyEvaluator
 from cohpert.scenarios import platypus_ad_family, qubit_flip_family, two_qubit_tilt_family
 from conftest import (
     closed_form_w_traces,
@@ -288,6 +290,50 @@ def test_f_eval_platypus_family_positive():
     joint = tensor(platypus_channel(0.2), amplitude_damping_channel(0.5))
     fam = platypus_ad_family(0.3, 0.99)
     assert f_eval(joint, fam, 0.01) > 0.0
+
+
+def evaluator_reference_cases():
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+    three_copy = line_between(DensityMatrix.maximally_mixed(8), DensityMatrix.pure(psi))
+    radius = admissible_radius(platypus_ad_family(0.3, 0.99))
+    return [
+        (depolarizing_channel(0.1), qubit_flip_family(), np.geomspace(1e-8, 0.2, 25)),
+        (
+            tensor(depolarizing_channel(0.2), depolarizing_channel(0.2)),
+            two_qubit_tilt_family(),
+            np.geomspace(1e-4, 0.9, 25),
+        ),
+        (
+            tensor(platypus_channel(0.2), amplitude_damping_channel(0.5)),
+            platypus_ad_family(0.3, 0.99),
+            np.geomspace(1e-4, 0.999 * radius, 25),
+        ),
+        (tensor_all([depolarizing_channel(0.2)] * 3), three_copy, np.geomspace(1e-4, 0.999, 25)),
+    ]
+
+
+def test_evaluator_grid_matches_pointwise_coherent_information():
+    for ch, fam, grid in evaluator_reference_cases():
+        values = FamilyEvaluator(ch, fam).f_values(grid)
+        base = coherent_information(fam.base, ch).value
+        reference = [coherent_information(state_at(fam, eps), ch).value - base for eps in grid]
+        assert np.max(np.abs(values - reference)) <= 1e-12
+    # the three-copy environment (d = 64) takes more than one stacked call
+    assert len(grid) > STACK_ENTRIES // 64 ** 2
+
+
+def test_evaluator_rejects_eps_outside_the_family():
+    joint = tensor(platypus_channel(0.2), amplitude_damping_channel(0.5))
+    fam = platypus_ad_family(0.3, 0.99)
+    ev = FamilyEvaluator(joint, fam)
+    beyond = 1.1 * admissible_radius(fam)
+    with pytest.raises(PositivityError):
+        state_at(fam, beyond)
+    with pytest.raises(PositivityError):
+        ev.f_values([0.01, beyond])
+    with pytest.raises(ValueError):
+        ev.f_values([0.01, -1e-3])
 
 
 def test_fd_derivatives_zero_family():

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from cohpert import ScenarioConfig, run_custom, run_scenario, tolerances
+from cohpert import RankCaseError, ScenarioConfig, cli, run_custom, run_scenario, tolerances
 from cohpert.channels import matrix_to_pairs
 from cohpert.cli import main
 from cohpert.scenarios import GridSpec, dephrasure_positive_ic_boundary, family_from_json
@@ -214,8 +214,16 @@ def test_cli_jobs_env_default(tmp_path, monkeypatch, capsys):
 
 def test_cli_tol_override_runs(tmp_path, monkeypatch):
     # the override is a module-level setattr; monkeypatch restores the
-    # default for later tests even when the CLI call fails
+    # default for later tests even if main fails to
     monkeypatch.setattr(tolerances, "KERNEL_TOL", tolerances.KERNEL_TOL)
+    default = tolerances.KERNEL_TOL
+    in_force = []
+
+    def spy(cfg):
+        in_force.append(tolerances.KERNEL_TOL)
+        return run_scenario(cfg)
+
+    monkeypatch.setattr(cli, "run_scenario", spy)
     code = main(
         [
             "scenario",
@@ -229,7 +237,15 @@ def test_cli_tol_override_runs(tmp_path, monkeypatch):
         ]
     )
     assert code == 0
-    assert tolerances.KERNEL_TOL == 1e-11
+    assert in_force == [1e-11]
+    assert tolerances.KERNEL_TOL == default
+
+
+def test_depolarizing_n2_needs_full_rank_outputs(tmp_path):
+    # at p = 0 the environment output has a kernel, so no w trace exists
+    cfg = ScenarioConfig("depolarizing-n2", grid=GridSpec(0.0, 0.1, 3), output=str(tmp_path))
+    with pytest.raises(RankCaseError):
+        run_scenario(cfg)
 
 
 def test_cli_tol_rejects_unknown_name(tmp_path):
