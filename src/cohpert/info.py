@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channels import QuantumChannel, apply, complement
-from .errors import DimensionError
+from .errors import DimensionError, PositivityError
 from .linalg import DensityMatrix
 from .tolerances import resolve
 
@@ -82,12 +82,14 @@ def von_neumann_entropy(
     eigenvalues in ``(0, kernel_tol]`` contribute zero (flagged).
     """
     kernel_tol = resolve(kernel_tol, "KERNEL_TOL")
+    psd_tol = resolve(psd_tol, "PSD_TOL")
     raw = np.linalg.eigvalsh(rho.matrix)
+    if raw[0] < -psd_tol:
+        raise PositivityError(f"eigenvalue {raw[0]:.3e} below -{psd_tol:.1e}")
     flags: set[str] = set()
     if raw[0] < 0.0:
         flags.add(FLAG_CLAMPED)
-    w = rho.eigenvalues_clamped(psd_tol=psd_tol)
-    value, more = _entropy_bits(w, kernel_tol)
+    value, more = _entropy_bits(np.clip(raw, 0.0, None), kernel_tol)
     return InfoValue(value, frozenset(flags | more))
 
 

@@ -1,14 +1,16 @@
 """Dense complex Hermitian linear algebra.
 
-Eigendecomposition with eigenvalue clustering, spectral projectors, kernel
-detection, reduced resolvents and positive-semidefiniteness checks.  All
-types are immutable after construction and all operations are pure
-functions, so everything here is safe to share across threads.
+Eigendecomposition with eigenvalue clustering (eigenvectors kept, spectral
+projectors derived on demand), kernel detection, reduced resolvents and
+positive-semidefiniteness checks.  All types are immutable after
+construction and all operations are pure functions, so everything here is
+safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -126,14 +128,6 @@ class DensityMatrix:
         v = v / norm
         return cls(HermitianOperator(_frozen(np.outer(v, v.conj()))))
 
-    def eigenvalues_clamped(self, psd_tol: float | None = None) -> np.ndarray:
-        """Ascending eigenvalues with round-off negatives clamped to zero."""
-        psd_tol = resolve(psd_tol, "PSD_TOL")
-        w = np.linalg.eigvalsh(self.matrix)
-        if w[0] < -psd_tol:
-            raise PositivityError(f"eigenvalue {w[0]:.3e} below -{psd_tol:.1e}")
-        return np.clip(w, 0.0, None)
-
 
 @dataclass(frozen=True)
 class Projector:
@@ -147,54 +141,67 @@ class Projector:
         return self.op.matrix
 
     @classmethod
-    def build(cls, matrix: np.ndarray, proj_tol: float = PROJ_TOL) -> "Projector":
-        op = HermitianOperator.from_matrix(matrix)
-        m = op.matrix
-        if np.linalg.norm(m @ m - m) > proj_tol:
-            raise ValueError("matrix is not idempotent within tolerance")
-        tr = op.trace()
-        rank = int(round(tr))
-        if abs(tr - rank) > proj_tol:
-            raise ValueError(f"projector trace {tr!r} is not near an integer")
-        return cls(op, rank)
-
-    @classmethod
     def zero(cls, dim: int) -> "Projector":
         return cls(HermitianOperator.zero(dim), 0)
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct (clustered) eigenvalues with their orthogonal projectors.
+    """Distinct (clustered) eigenvalues with their eigenvectors.
 
-    ``eigenvalues`` are descending cluster values, ``projectors[i]`` projects
-    onto the span of all eigenvectors merged into cluster ``i`` and
-    ``multiplicities[i]`` counts them.  Clustering is by transitive closure:
-    raw eigenvalues whose chain of mutual gaps stays within ``cluster_tol``
-    merge into one cluster whose value is the mean of its members.
+    ``eigenvalues`` are descending cluster values and ``multiplicities[i]``
+    counts the eigenvectors merged into cluster ``i``.  The columns of
+    ``vectors`` are orthonormal eigenvectors grouped by cluster in the same
+    order, and ``column_values`` gives each column its cluster value.
+    Clustering is by transitive closure: raw eigenvalues whose chain of
+    mutual gaps stays within ``cluster_tol`` merge into one cluster whose
+    value is the mean of its members.  ``projectors[i]`` projects onto the
+    span of cluster ``i``; it is built from ``vectors`` on first access.
     """
 
     eigenvalues: tuple[float, ...]
-    projectors: tuple[HermitianOperator, ...]
     multiplicities: tuple[int, ...]
     cluster_tol: float
-    dim: int = field(default=0)
+    vectors: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[0]
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
+
+    @cached_property
+    def column_values(self) -> np.ndarray:
+        return np.repeat(self.eigenvalues, self.multiplicities)
+
+    @cached_property
+    def projectors(self) -> tuple[HermitianOperator, ...]:
+        out = []
+        stops = np.cumsum(self.multiplicities)
+        for start, stop in zip(stops - self.multiplicities, stops):
+            block = self.vectors[:, start:stop]
+            proj = block @ block.conj().T
+            out.append(HermitianOperator(_frozen((proj + proj.conj().T) / 2.0)))
+        return tuple(out)
 
     def kernel_indices(self, kernel_tol: float | None = None) -> tuple[int, ...]:
         kernel_tol = resolve(kernel_tol, "KERNEL_TOL")
         return tuple(i for i, v in enumerate(self.eigenvalues) if abs(v) <= kernel_tol)
 
+    def kernel_columns(self, kernel_tol: float | None = None) -> np.ndarray:
+        """Mask of the columns of ``vectors`` that span the kernel."""
+        return np.abs(self.column_values) <= resolve(kernel_tol, "KERNEL_TOL")
+
     def is_full_rank(self, kernel_tol: float | None = None) -> bool:
         return not self.kernel_indices(kernel_tol)
 
+    def in_eigenbasis(self, b: np.ndarray) -> np.ndarray:
+        """``V^dag b V``, with ``V`` the matrix of ``vectors``."""
+        return self.vectors.conj().T @ b @ self.vectors
+
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for value, proj in zip(self.eigenvalues, self.projectors):
-            out += value * proj.matrix
-        return out
+        return (self.vectors * self.column_values) @ self.vectors.conj().T
 
 
 def _as_matrix(H: Union[HermitianOperator, DensityMatrix, MatrixLike]) -> np.ndarray:
@@ -223,8 +230,9 @@ def spectral_decompose(
     """
     m = _as_matrix(H)
     dim = m.shape[0]
+    norm = float(np.linalg.norm(m))
     if cluster_tol is None:
-        cluster_tol = default_cluster_tol(float(np.linalg.norm(m)))
+        cluster_tol = default_cluster_tol(norm)
     if cluster_tol <= 0:
         raise ValueError("cluster_tol must be positive")
 
@@ -233,40 +241,23 @@ def spectral_decompose(
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
         raise np.linalg.LinAlgError(f"eigendecomposition failed: {exc}") from exc
 
-    groups: list[list[int]] = [[0]]
-    for i in range(1, dim):
-        if w[i] - w[groups[-1][-1]] <= cluster_tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-
-    values: list[float] = []
-    projectors: list[HermitianOperator] = []
-    multiplicities: list[int] = []
-    spread = 0.0
-    for group in reversed(groups):
-        mean = float(np.mean(w[group]))
-        values.append(mean)
-        spread = max(spread, float(np.abs(w[group] - mean).max()))
-        block = V[:, group]
-        proj = block @ block.conj().T
-        projectors.append(HermitianOperator(_frozen((proj + proj.conj().T) / 2.0)))
-        multiplicities.append(len(group))
-
+    # cluster index of each raw eigenvalue, 0 for the largest
+    cluster = np.concatenate(([0], np.cumsum(np.diff(w) > cluster_tol)))
+    cluster = cluster[-1] - cluster
+    counts = np.bincount(cluster)
+    means = np.bincount(cluster, weights=w) / counts
     decomp = SpectralDecomposition(
-        eigenvalues=tuple(values),
-        projectors=tuple(projectors),
-        multiplicities=tuple(multiplicities),
+        eigenvalues=tuple(means.tolist()),
+        multiplicities=tuple(counts.tolist()),
         cluster_tol=cluster_tol,
-        dim=dim,
+        vectors=_frozen(V[:, np.argsort(cluster, kind="stable")]),
     )
 
-    total = sum(p.matrix for p in decomp.projectors)
-    if np.linalg.norm(total - np.eye(dim)) > proj_tol:
+    vectors = decomp.vectors
+    if np.linalg.norm(vectors.conj().T @ vectors - np.eye(dim)) > proj_tol:
         raise ValueError("spectral projectors do not sum to the identity")
     # merged clusters legitimately shift eigenvalues by up to their spread
-    scale = max(1.0, float(np.linalg.norm(m)))
-    allowed = recon_tol * scale + spread * np.sqrt(dim)
+    allowed = recon_tol * max(1.0, norm) + float(np.abs(w - means[cluster]).max()) * np.sqrt(dim)
     if np.linalg.norm(decomp.reconstruct() - m) > allowed:
         raise ValueError("spectral data does not reconstruct the operator")
     return decomp

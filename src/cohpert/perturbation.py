@@ -168,27 +168,24 @@ def _as_array(B: Union[HermitianOperator, np.ndarray]) -> np.ndarray:
     return B.matrix if isinstance(B, HermitianOperator) else np.asarray(B, dtype=complex)
 
 
+def _diagonal(decomp: SpectralDecomposition, b: np.ndarray) -> np.ndarray:
+    """Real diagonal of ``V^dag b V``, one entry per column of ``decomp.vectors``."""
+    v = decomp.vectors
+    return (v.conj() * (b @ v)).sum(axis=0).real
+
+
 def log_weighted_trace(decomp: SpectralDecomposition, B: Union[HermitianOperator, np.ndarray],
                        kernel_tol: float | None = None) -> float:
-    """``tr(B ln M) = sum_i ln(lambda_i) tr(P_i B)`` for full-rank ``M``."""
+    """``tr(B ln M) = sum_a ln(lambda_a) (V^dag B V)_aa`` for full-rank ``M``."""
     if not decomp.is_full_rank(kernel_tol):
         raise RankCaseError("log trace needs a strictly positive spectrum")
-    b = _as_array(B)
-    total = 0.0
-    for value, proj in zip(decomp.eigenvalues, decomp.projectors):
-        total += np.log(value) * float(np.trace(proj.matrix @ b).real)
-    return total
+    return float(np.log(decomp.column_values) @ _diagonal(decomp, _as_array(B)))
 
 
 def _support_log_trace(decomp: SpectralDecomposition, b: np.ndarray, kernel_tol: float) -> float:
     """Log trace restricted to the strictly positive part of the spectrum."""
-    kernel = set(decomp.kernel_indices(kernel_tol))
-    total = 0.0
-    for i, (value, proj) in enumerate(zip(decomp.eigenvalues, decomp.projectors)):
-        if i in kernel:
-            continue
-        total += np.log(value) * float(np.trace(proj.matrix @ b).real)
-    return total
+    keep = ~decomp.kernel_columns(kernel_tol)
+    return float(np.log(decomp.column_values[keep]) @ _diagonal(decomp, b)[keep])
 
 
 def w_trace(
@@ -198,32 +195,29 @@ def w_trace(
 ) -> float:
     """Second-derivative trace for a strictly full-rank output spectrum.
 
-    Computes ``sum_i tr(P_i B V_i B P_i)`` with
-    ``V_i = P_i / lambda_i - 2 ln(lambda_i) * sum_{j != i} (lambda_j - lambda_i)^-1 P_j``,
-    where ``B`` is the channel image of the first-order direction.  The
-    negative of this trace is the second derivative at 0+ of the natural-log
-    output entropy when the second-order direction vanishes.
+    With ``B~ = V^dag B V`` the image of the first-order direction in the
+    eigenbasis of the output, computes the Daleckii-Krein form
+    ``sum_ab |B~_ab|^2 g(lambda_a, lambda_b)``, where
+    ``g = (ln lambda_a - ln lambda_b) / (lambda_a - lambda_b)`` between
+    clusters (evaluated as ``log1p((lambda_a - lambda_b) / lambda_b)`` over
+    the gap, which stays accurate for close clusters) and ``g = 1 / lambda``
+    within one.  This equals ``sum_i tr(P_i B V_i B P_i)`` with
+    ``V_i = P_i / lambda_i - 2 ln(lambda_i) * sum_{j != i} (lambda_j - lambda_i)^-1 P_j``.
+    The negative of this trace is the second derivative at 0+ of the
+    natural-log output entropy when the second-order direction vanishes.
     """
     if not decomp.is_full_rank(kernel_tol):
         raise RankCaseError(
             "w_trace needs all cluster values above kernel_tol; "
             "use w0_trace for rank-deficient outputs"
         )
-    b = _as_array(B)
-    n = len(decomp)
-    total = 0.0
-    for i in range(n):
-        p_i = decomp.projectors[i].matrix
-        lam_i = decomp.eigenvalues[i]
-        v_i = p_i / lam_i
-        if n > 1:
-            resolvent = np.zeros_like(p_i)
-            for j in range(n):
-                if j != i:
-                    resolvent += decomp.projectors[j].matrix / (decomp.eigenvalues[j] - lam_i)
-            v_i = v_i - 2.0 * np.log(lam_i) * resolvent
-        total += float(np.trace(p_i @ b @ v_i @ b @ p_i).real)
-    return total
+    lam = decomp.column_values
+    gap = lam[:, None] - lam
+    same = gap == 0.0
+    gap = np.where(same, 1.0, gap)
+    g = np.where(same, 1.0 / lam, np.log1p(gap / lam) / gap)
+    bt = decomp.in_eigenbasis(_as_array(B))
+    return float(np.sum((bt.real ** 2 + bt.imag ** 2) * g))
 
 
 def w0_trace(
@@ -234,23 +228,19 @@ def w0_trace(
 ) -> float:
     """Second-order kernel-splitting trace for a rank-deficient output.
 
-    Computes ``tr(P0 B2 - P0 B1 C0 B1 P0)`` with ``P0`` the kernel projector
+    With ``B~1 = V^dag B1 V`` in the eigenbasis of the output, computes
+    ``sum_{a in ker} (V^dag B2 V)_aa - sum_{a in ker, b not in ker} |B~1_ab|^2 / lambda_b``.
+    This is ``tr(P0 B2 - P0 B1 C0 B1 P0)`` with ``P0`` the kernel projector
     and ``C0 = sum_{lambda_j > 0} lambda_j^-1 P_j``: the sum of the
     second-order coefficients of the eigenvalues emerging from the kernel.
     ``B1`` and ``B2`` are the channel images of the two directions.
     """
-    kernel = decomp.kernel_indices(kernel_tol)
-    if not kernel:
+    ker = decomp.kernel_columns(kernel_tol)
+    if not ker.any():
         raise RankCaseError("w0_trace needs a kernel cluster; use w_trace for full-rank outputs")
-    b1 = _as_array(B1)
-    b2 = _as_array(B2)
-    p0 = sum(decomp.projectors[i].matrix for i in kernel)
-    c0 = np.zeros_like(p0)
-    for j in range(len(decomp)):
-        if j not in kernel:
-            c0 += decomp.projectors[j].matrix / decomp.eigenvalues[j]
-    w0 = p0 @ b1 @ c0 @ b1 @ p0
-    return float(np.trace(p0 @ b2 - w0).real)
+    b1t = decomp.in_eigenbasis(_as_array(B1))[np.ix_(ker, ~ker)]
+    splitting = float(np.sum((b1t.real ** 2 + b1t.imag ** 2) / decomp.column_values[~ker]))
+    return float(_diagonal(decomp, _as_array(B2))[ker].sum()) - splitting
 
 
 @dataclass(frozen=True)
@@ -294,26 +284,29 @@ class _Side:
         return self.dec.is_full_rank(self.kernel_tol)
 
     @cached_property
-    def kernel(self) -> np.ndarray:
-        """Projector ``P0`` onto the kernel of the base image (zero if full rank)."""
-        p0 = np.zeros_like(self.state)
-        for i in self.dec.kernel_indices(self.kernel_tol):
-            p0 = p0 + self.dec.projectors[i].matrix
-        return p0
+    def b1(self) -> np.ndarray:
+        """``A1``'s image in the eigenbasis of the base image."""
+        return self.dec.in_eigenbasis(self.a1)
+
+    @cached_property
+    def ker(self) -> np.ndarray:
+        """Mask of the eigenbasis columns that span the kernel of the base image."""
+        return self.dec.kernel_columns(self.kernel_tol)
 
     def kernel_trace(self) -> float:
         """``tr(P0 B1)``, the first-order splitting of the kernel."""
-        return 0.0 if self.full else float(np.trace(self.kernel @ self.a1).real)
+        return float(np.diagonal(self.b1).real[self.ker].sum())
 
     def cluster_traces(self) -> tuple[float, ...]:
         """``tr(P_i B1)`` for every eigenvalue cluster ``i`` of the base image."""
-        return tuple(float(np.trace(p.matrix @ self.a1).real) for p in self.dec.projectors)
+        starts = np.cumsum((0,) + self.dec.multiplicities[:-1])
+        return tuple(map(float, np.add.reduceat(np.diagonal(self.b1).real, starts)))
 
     def kernel_block_psd(self, tol: float = 1e-9) -> bool:
         """Whether ``P0 B1 P0`` is positive semidefinite within ``tol``; the
         kernel-splitting analysis assumes it is."""
-        block = self.kernel @ self.a1 @ self.kernel
-        return float(np.linalg.eigvalsh((block + block.conj().T) / 2.0)[0]) >= -tol
+        block = self.b1[np.ix_(self.ker, self.ker)]
+        return not block.size or float(np.linalg.eigvalsh(block)[0]) >= -tol
 
     def log_trace(self, b: np.ndarray) -> float:
         """:func:`log_weighted_trace` of ``b`` at the base image."""

@@ -29,10 +29,10 @@ from .channels import (
     tensor,
 )
 from .criteria import (
+    _CRITERION_BY_NAME,
     CriterionReport,
     check_criterion1,
     check_criterion2,
-    check_criterion3,
     detect_private_gap,
     detect_private_gap_via_complement,
     detect_superadditivity,
@@ -443,10 +443,11 @@ def run_custom(
     """Run one named criterion on a channel and family given as JSON."""
     ch = channel_from_json(channel_json)
     fam = family_from_json(family_json)
-    checks = {"C1": check_criterion1, "C2": check_criterion2, "C3": check_criterion3}
-    if criterion not in checks:
-        raise ValueError(f"unknown criterion {criterion!r}; expected one of {sorted(checks)}")
-    return checks[criterion](ch, fam, sense)
+    if criterion not in _CRITERION_BY_NAME:
+        raise ValueError(
+            f"unknown criterion {criterion!r}; expected one of {sorted(_CRITERION_BY_NAME)}"
+        )
+    return _CRITERION_BY_NAME[criterion](ch, fam, sense)
 
 
 _SCENARIO_FUNCS = {

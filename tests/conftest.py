@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from cohpert import (
     apply_matrix,
     complement,
     depolarizing_channel,
+    kernel_projector,
     make_channel,
+    reduced_resolvent,
     spectral_decompose,
     tensor,
     w_trace,
@@ -41,6 +44,73 @@ def random_traceless(rng, dim, scale=1.0):
     h = (a + a.conj().T) / 2.0
     h -= np.trace(h).real / dim * np.eye(dim)
     return HermitianOperator.from_matrix(scale * h)
+
+
+def random_unitary(rng, dim):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
+def rotated_spectrum(rng, values):
+    """``U diag(values) U^dag`` for a random unitary ``U``."""
+    u = random_unitary(rng, len(values))
+    return u @ np.diag(values) @ u.conj().T
+
+
+def projector_w_trace(dec, b):
+    """Reference ``w_trace``: ``sum_i tr(P_i B V_i B P_i)`` with
+    ``V_i = P_i / lambda_i - 2 ln(lambda_i) S_i``, built from the spectral
+    projectors and the reduced resolvents ``S_i``."""
+    total = 0.0
+    for i, (lam, p) in enumerate(zip(dec.eigenvalues, dec.projectors)):
+        v = p.matrix / lam - 2.0 * np.log(lam) * reduced_resolvent(dec, i).matrix
+        total += np.trace(p.matrix @ b @ v @ b @ p.matrix).real
+    return total
+
+
+def projector_w0_trace(dec, b1, b2):
+    """Reference ``w0_trace``: ``tr(P0 B2 - P0 B1 C0 B1 P0)`` with
+    ``C0 = sum_{lambda_j > 0} P_j / lambda_j``."""
+    p0 = kernel_projector(dec).matrix
+    kernel = dec.kernel_indices()
+    c0 = sum(
+        (p.matrix / lam for i, (lam, p) in enumerate(zip(dec.eigenvalues, dec.projectors))
+         if i not in kernel),
+        np.zeros_like(p0),
+    )
+    return np.trace(p0 @ b2 - p0 @ b1 @ c0 @ b1 @ p0).real
+
+
+def projector_log_trace(dec, b):
+    """Reference log trace ``sum_i ln(lambda_i) tr(P_i B)`` over the clusters
+    outside the kernel."""
+    kernel = dec.kernel_indices()
+    return sum(
+        np.log(lam) * np.trace(p.matrix @ b).real
+        for i, (lam, p) in enumerate(zip(dec.eigenvalues, dec.projectors))
+        if i not in kernel
+    )
+
+
+def decimal_w_trace(dec, b, digits=40):
+    """``sum_ab |B~_ab|^2 g(lambda_a, lambda_b)`` with the divided differences
+    ``g`` of ``ln`` taken in ``digits``-digit decimal arithmetic.
+
+    The projector form loses digits in proportion to ``1 / gap`` between
+    close clusters; this oracle does not.
+    """
+    bt = dec.vectors.conj().T @ b @ dec.vectors
+    weights = bt.real ** 2 + bt.imag ** 2
+    with localcontext() as ctx:
+        ctx.prec = digits
+        lam = [Decimal(float(x)) for x in dec.column_values]
+        logs = [x.ln() for x in lam]
+        total = Decimal(0)
+        for a, (lam_a, log_a) in enumerate(zip(lam, logs)):
+            for c, (lam_c, log_c) in enumerate(zip(lam, logs)):
+                g = 1 / lam_a if lam_a == lam_c else (log_a - log_c) / (lam_a - lam_c)
+                total += Decimal(float(weights[a, c])) * g
+        return float(total)
 
 
 def shannon_bits(probs):

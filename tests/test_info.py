@@ -5,6 +5,8 @@ from cohpert import (
     DensityMatrix,
     DimensionError,
     Ensemble,
+    HermitianOperator,
+    PositivityError,
     amplitude_damping_channel,
     coherent_information,
     complement,
@@ -18,7 +20,7 @@ from cohpert import (
     tensor,
     von_neumann_entropy,
 )
-from cohpert.info import FLAG_LINE_MAX_NONPOSITIVE, golden_section_maximize
+from cohpert.info import FLAG_CLAMPED, FLAG_LINE_MAX_NONPOSITIVE, golden_section_maximize
 from conftest import random_channel, random_density, random_pure, shannon_bits
 
 
@@ -29,6 +31,25 @@ def test_entropy_maximally_mixed():
 def test_entropy_pure_state(rng):
     psi = random_pure(rng, 3)
     assert von_neumann_entropy(psi).value == pytest.approx(0.0, abs=1e-10)
+
+
+def test_entropy_clamps_round_off_negative_eigenvalue(monkeypatch):
+    rho = DensityMatrix.from_matrix(np.diag([0.6 + 1e-12, 0.4, -1e-12]))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+    entropy = von_neumann_entropy(rho)
+    assert len(calls) == 1
+    assert FLAG_CLAMPED in entropy.flags
+    assert entropy.value == pytest.approx(shannon_bits([0.6 + 1e-12, 0.4]), abs=1e-15)
+    assert FLAG_CLAMPED not in von_neumann_entropy(DensityMatrix.from_matrix(np.diag([0.6, 0.4]))).flags
+
+
+def test_entropy_rejects_eigenvalue_below_psd_tol():
+    rho = DensityMatrix(HermitianOperator.from_matrix(np.diag([0.6 + 1e-6, 0.4, -1e-6])))
+    with pytest.raises(PositivityError):
+        von_neumann_entropy(rho)
+    assert FLAG_CLAMPED in von_neumann_entropy(rho, psd_tol=1e-5).flags
 
 
 def test_entropy_against_scalar_oracle():

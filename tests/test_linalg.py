@@ -11,7 +11,7 @@ from cohpert import (
     reduced_resolvent,
     spectral_decompose,
 )
-from conftest import random_traceless
+from conftest import random_traceless, rotated_spectrum
 
 
 def test_hermitian_symmetrizes_small_residual():
@@ -160,3 +160,25 @@ def test_kernel_projector_platypus_damping_complement():
     assert kernel_projector(env_dec).rank == 2
     out_dec = spectral_decompose(apply_matrix(joint, fam.base.matrix))
     assert kernel_projector(out_dec).rank == 3
+
+
+def test_decomposition_vectors_reconstruct_and_give_projectors_of_raw_eigenvectors(rng):
+    for values in ([0.4, 0.4, 0.1, 0.1], [0.3, 0.2, 0.2, 0.2, 0.1, 0.0, 0.0], list(range(1, 17))):
+        h = rotated_spectrum(rng, np.array(values, dtype=float))
+        d = h.shape[0]
+        dec = spectral_decompose(h)
+        v = dec.vectors
+        assert np.linalg.norm(v.conj().T @ v - np.eye(d)) < 1e-12
+        assert np.linalg.norm((v * dec.column_values) @ v.conj().T - h) < 1e-12 * max(
+            1.0, np.linalg.norm(h)
+        )
+        assert np.allclose(dec.reconstruct(), h, atol=1e-12 * max(1.0, np.linalg.norm(h)))
+        # each projector is the sum over the cluster's raw eigenvectors, as the
+        # decomposition built it before it kept the eigenvectors
+        _, raw = np.linalg.eigh(h)
+        stop = d
+        for mult, proj in zip(dec.multiplicities, dec.projectors):
+            block = raw[:, stop - mult:stop]
+            stop -= mult
+            expected = block @ block.conj().T
+            assert np.allclose(proj.matrix, (expected + expected.conj().T) / 2.0, atol=1e-14)

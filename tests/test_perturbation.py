@@ -29,14 +29,26 @@ from cohpert import (
     w0_trace,
     w_trace,
 )
-from cohpert.perturbation import DIVERGENT, NEGATIVE_INFINITY, STACK_ENTRIES, FamilyEvaluator
+from cohpert.perturbation import (
+    DIVERGENT,
+    NEGATIVE_INFINITY,
+    STACK_ENTRIES,
+    FamilyEvaluator,
+    _support_log_trace,
+    log_weighted_trace,
+)
 from cohpert.scenarios import platypus_ad_family, qubit_flip_family, two_qubit_tilt_family
 from conftest import (
     closed_form_w_traces,
+    decimal_w_trace,
     depolarizing_pair_w_traces,
+    projector_log_trace,
+    projector_w0_trace,
+    projector_w_trace,
     random_channel,
     random_density,
     random_traceless,
+    rotated_spectrum,
 )
 
 
@@ -203,6 +215,70 @@ def test_w0_trace_rejects_full_rank():
     dec = spectral_decompose(np.diag([0.6, 0.4]))
     with pytest.raises(RankCaseError):
         w0_trace(dec, np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+def eigenbasis_test_spectrum(rng, kind, d):
+    """Random positive spectrum of size ``d``: distinct (``full``), in clusters of
+    equal values (``clusters``), or with a zero block (``kernel``)."""
+    values = rng.uniform(0.05, 1.0, d)
+    if kind == "clusters":
+        k = max(2, d // 4)
+        values = np.repeat(values[:k], d // k)
+    if kind == "kernel":
+        values[: d // 4 + 1] = 0.0
+    return values / values.sum()
+
+
+@pytest.mark.parametrize("kind", ["full", "clusters"])
+@pytest.mark.parametrize("d", [4, 16, 64])
+def test_eigenbasis_traces_match_projector_form(rng, d, kind):
+    for _ in range(3):
+        dec = spectral_decompose(rotated_spectrum(rng, eigenbasis_test_spectrum(rng, kind, d)))
+        assert (max(dec.multiplicities) > 1) == (kind == "clusters")
+        b = random_traceless(rng, d).matrix
+        assert w_trace(dec, b) == pytest.approx(projector_w_trace(dec, b), rel=1e-12)
+        assert log_weighted_trace(dec, b) == pytest.approx(
+            projector_log_trace(dec, b), rel=1e-12, abs=1e-14
+        )
+
+
+@pytest.mark.parametrize("d", [4, 16])
+def test_w_trace_close_unmerged_pair(rng, d):
+    # a gap of 1e3 cluster_tol: the divided difference there is accurate, while
+    # the projector form cancels two terms of size ln(lambda) / gap
+    for _ in range(3):
+        values = eigenbasis_test_spectrum(rng, "full", d)
+        values[1] = values[0] + 1e-6
+        dec = spectral_decompose(rotated_spectrum(rng, values))
+        assert len(dec) == d
+        assert dec.cluster_tol == pytest.approx(1e-9)
+        b = random_traceless(rng, d).matrix
+        assert w_trace(dec, b) == pytest.approx(decimal_w_trace(dec, b), rel=1e-13)
+        assert w_trace(dec, b) == pytest.approx(projector_w_trace(dec, b), rel=1e-9)
+
+
+@pytest.mark.parametrize("d", [4, 16, 64])
+def test_eigenbasis_kernel_traces_match_projector_form(rng, d):
+    for _ in range(3):
+        base = DensityMatrix.from_matrix(
+            rotated_spectrum(rng, eigenbasis_test_spectrum(rng, "kernel", d))
+        )
+        b1, b2 = random_traceless(rng, d).matrix, random_traceless(rng, d).matrix
+        dec = spectral_decompose(base)
+        assert w0_trace(dec, b1, b2) == pytest.approx(projector_w0_trace(dec, b1, b2), rel=1e-12)
+        assert _support_log_trace(dec, b1, 1e-10) == pytest.approx(
+            projector_log_trace(dec, b1), rel=1e-12, abs=1e-14
+        )
+
+        fam = PerturbationFamily.build(base, HermitianOperator.from_matrix(b1))
+        side = FamilyEvaluator(identity_channel(d), fam).out
+        p0 = sum(dec.projectors[i].matrix for i in dec.kernel_indices())
+        assert side.cluster_traces() == pytest.approx(
+            [np.trace(p.matrix @ b1).real for p in dec.projectors], rel=1e-12, abs=1e-13
+        )
+        assert side.kernel_trace() == pytest.approx(np.trace(p0 @ b1).real, rel=1e-12)
+        block_min = np.linalg.eigvalsh(p0 @ b1 @ p0)[0]
+        assert side.kernel_block_psd() == (block_min >= -1e-9)
 
 
 def test_sum_rules(rng):
