@@ -1,6 +1,5 @@
-"""Entropic quantities: von Neumann entropy, coherent information, private
-and Holevo information of ensembles, and one-parameter optimal-state
-searches for the named channel families.
+"""Entropic quantities: von Neumann entropy, coherent information, and
+private and Holevo information of ensembles.
 
 All values are reported in bits (log base 2).
 """
@@ -8,16 +7,14 @@ All values are reported in bits (log base 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .channels import QuantumChannel, apply, complement
+from .channels import QuantumChannel, apply, apply_matrix, complement
 from .errors import DimensionError, PositivityError
 from .linalg import DensityMatrix
 from .tolerances import resolve
-
-LINE_FAMILIES = ("ad_diagonal", "platypus_diagonal", "fixed_maximally_mixed")
 
 FLAG_NEAR_KERNEL = "near_kernel_eigenvalue"
 FLAG_CLAMPED = "negative_eigenvalue_clamped"
@@ -61,14 +58,26 @@ class Ensemble:
         return DensityMatrix.from_matrix(acc)
 
 
-def _entropy_bits(eigenvalues: np.ndarray, kernel_tol: float) -> tuple[float, set[str]]:
+def _entropy_bits(eigenvalues: np.ndarray, kernel_tol: float) -> np.ndarray:
+    """``-sum_i w_i log2 w_i`` over the last axis of clipped eigenvalues, with
+    those up to ``kernel_tol`` counted as zero; a stack row gets its own value."""
+    kept = np.where(eigenvalues > kernel_tol, eigenvalues, 1.0)
+    return -(kept * np.log2(kept)).sum(axis=-1)
+
+
+def _spectrum_entropy(raw: np.ndarray, kernel_tol: float | None, psd_tol: float | None) -> InfoValue:
+    """:func:`von_neumann_entropy` of a state with ascending eigenvalues ``raw``."""
+    kernel_tol = resolve(kernel_tol, "KERNEL_TOL")
+    psd_tol = resolve(psd_tol, "PSD_TOL")
+    if raw[0] < -psd_tol:
+        raise PositivityError(f"eigenvalue {raw[0]:.3e} below -{psd_tol:.1e}")
     flags: set[str] = set()
-    if np.any((eigenvalues > 0.0) & (eigenvalues <= kernel_tol)):
+    if raw[0] < 0.0:
+        flags.add(FLAG_CLAMPED)
+    clipped = np.clip(raw, 0.0, None)
+    if np.any((clipped > 0.0) & (clipped <= kernel_tol)):
         flags.add(FLAG_NEAR_KERNEL)
-    kept = eigenvalues[eigenvalues > kernel_tol]
-    if kept.size == 0:
-        return 0.0, flags
-    return float(-(kept * np.log2(kept)).sum()), flags
+    return InfoValue(float(_entropy_bits(clipped, kernel_tol)), frozenset(flags))
 
 
 def von_neumann_entropy(
@@ -81,16 +90,7 @@ def von_neumann_entropy(
     Eigenvalues in ``[-psd_tol, 0)`` are clamped to zero (flagged);
     eigenvalues in ``(0, kernel_tol]`` contribute zero (flagged).
     """
-    kernel_tol = resolve(kernel_tol, "KERNEL_TOL")
-    psd_tol = resolve(psd_tol, "PSD_TOL")
-    raw = np.linalg.eigvalsh(rho.matrix)
-    if raw[0] < -psd_tol:
-        raise PositivityError(f"eigenvalue {raw[0]:.3e} below -{psd_tol:.1e}")
-    flags: set[str] = set()
-    if raw[0] < 0.0:
-        flags.add(FLAG_CLAMPED)
-    value, more = _entropy_bits(np.clip(raw, 0.0, None), kernel_tol)
-    return InfoValue(value, frozenset(flags | more))
+    return _spectrum_entropy(np.linalg.eigvalsh(rho.matrix), kernel_tol, psd_tol)
 
 
 def coherent_information(
@@ -99,10 +99,13 @@ def coherent_information(
     kernel_tol: float | None = None,
     psd_tol: float | None = None,
 ) -> InfoValue:
-    """``S(N(rho)) - S(Nc(rho))`` in bits, with ``Nc`` the canonical complement."""
-    out = von_neumann_entropy(apply(ch, rho), kernel_tol=kernel_tol, psd_tol=psd_tol)
-    env = von_neumann_entropy(
-        apply(complement(ch), rho), kernel_tol=kernel_tol, psd_tol=psd_tol
+    """``S(N(rho)) - S(Nc(rho))`` in bits, with ``Nc`` the canonical complement.
+    Each image's entropy comes from the spectrum that its validation computes."""
+    out, env = (
+        _spectrum_entropy(
+            DensityMatrix.with_spectrum(apply_matrix(side, rho.matrix))[1], kernel_tol, psd_tol
+        )
+        for side in (ch, complement(ch))
     )
     return InfoValue(out.value - env.value, out.flags | env.flags)
 
@@ -131,86 +134,3 @@ def private_information(ens: Ensemble, ch: QuantumChannel) -> InfoValue:
         flags |= member.flags
         total -= p * member.value
     return InfoValue(total, flags)
-
-
-def golden_section_maximize(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    param_tol: float = 1e-8,
-) -> tuple[float, float]:
-    """Golden-section maximization of a scalar function on ``[lo, hi]``.
-
-    Deterministic; on plateaus the bracket collapses toward the smaller
-    parameter.  Returns ``(argmax, value)``.
-    """
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > param_tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x = a if fn(a) >= fn(b) else b
-    return x, fn(x)
-
-
-def _diagonal_line_state(dim: int, lo_index: int, hi_index: int, u: float) -> DensityMatrix:
-    m = np.zeros((dim, dim), dtype=complex)
-    m[lo_index, lo_index] = 1.0 - u
-    m[hi_index, hi_index] = u
-    return DensityMatrix.from_matrix(m)
-
-
-def optimal_line_search(
-    ch: QuantumChannel,
-    family: str,
-    param_tol: float = 1e-8,
-) -> tuple[DensityMatrix, InfoValue]:
-    """Maximize coherent information along a named one-parameter input line.
-
-    ``ad_diagonal`` searches ``(1-u)|0><0| + u|1><1|`` on qubit inputs,
-    ``platypus_diagonal`` searches ``(1-u)|0><0| + u|2><2|`` on qutrit
-    inputs, and ``fixed_maximally_mixed`` evaluates the maximally mixed
-    state with no search.  The searched lines include pure endpoints, so
-    the line maximum is never negative; when no interior point beats the
-    endpoints the result is clamped to 0 and flagged.
-    """
-    if family not in LINE_FAMILIES:
-        raise ValueError(f"unknown line family {family!r}; expected one of {LINE_FAMILIES}")
-    if family == "fixed_maximally_mixed":
-        rho = DensityMatrix.maximally_mixed(ch.dim_in)
-        return rho, coherent_information(rho, ch)
-    if family == "ad_diagonal":
-        if ch.dim_in != 2:
-            raise DimensionError(f"ad_diagonal needs a qubit input, channel has dim_in={ch.dim_in}")
-        hi_index = 1
-    else:  # platypus_diagonal
-        if ch.dim_in != 3:
-            raise DimensionError(
-                f"platypus_diagonal needs a qutrit input, channel has dim_in={ch.dim_in}"
-            )
-        hi_index = 2
-
-    comp = complement(ch)
-
-    def objective(u: float) -> float:
-        rho = _diagonal_line_state(ch.dim_in, 0, hi_index, u)
-        out = von_neumann_entropy(apply(ch, rho))
-        env = von_neumann_entropy(apply(comp, rho))
-        return out.value - env.value
-
-    u_star, value = golden_section_maximize(objective, 0.0, 1.0, param_tol=param_tol)
-    # the endpoints are pure states with exactly zero coherent information
-    candidates = [(0.0, 0.0), (u_star, value), (1.0, 0.0)]
-    u_best, v_best = max(candidates, key=lambda t: (t[1], -t[0]))
-    flags = {FLAG_LINE_MAX_NONPOSITIVE} if value <= 0.0 else set()
-    rho = _diagonal_line_state(ch.dim_in, 0, hi_index, u_best)
-    return rho, InfoValue(max(v_best, 0.0), frozenset(flags))

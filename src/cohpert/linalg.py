@@ -102,17 +102,29 @@ class DensityMatrix:
         trace_tol: float = TRACE_TOL,
         psd_tol: float | None = None,
     ) -> "DensityMatrix":
+        return cls.with_spectrum(matrix, herm_tol, trace_tol, psd_tol)[0]
+
+    @classmethod
+    def with_spectrum(
+        cls,
+        matrix: MatrixLike,
+        herm_tol: float = HERM_TOL,
+        trace_tol: float = TRACE_TOL,
+        psd_tol: float | None = None,
+    ) -> tuple["DensityMatrix", np.ndarray]:
+        """:meth:`from_matrix`, also returning the ascending eigenvalues that
+        its positivity check computes."""
         psd_tol = resolve(psd_tol, "PSD_TOL")
         op = HermitianOperator.from_matrix(matrix, herm_tol=herm_tol)
         tr = op.trace()
         if abs(tr - 1.0) > trace_tol:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond {trace_tol:.1e}")
-        min_eig = float(np.linalg.eigvalsh(op.matrix)[0])
-        if min_eig < -psd_tol:
+        w = np.linalg.eigvalsh(op.matrix)
+        if w[0] < -psd_tol:
             raise PositivityError(
-                f"density matrix has eigenvalue {min_eig:.3e} below -{psd_tol:.1e}"
+                f"density matrix has eigenvalue {float(w[0]):.3e} below -{psd_tol:.1e}"
             )
-        return cls(op)
+        return cls(op), w
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
@@ -306,11 +318,6 @@ def reduced_resolvent(decomp: SpectralDecomposition, target_index: int) -> Hermi
     return HermitianOperator(_frozen(out))
 
 
-def psd_min_eig(H: Union[HermitianOperator, DensityMatrix, MatrixLike]) -> float:
-    """Smallest eigenvalue of a Hermitian operator."""
-    return float(np.linalg.eigvalsh(_as_matrix(H))[0])
-
-
 def state_spectra(stack: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each matrix in a stack, in one ``eigvalsh`` call.
 
@@ -320,7 +327,7 @@ def state_spectra(stack: np.ndarray) -> np.ndarray:
     within ``TRACE_TOL`` of 1 and its smallest eigenvalue at least
     ``-PSD_TOL``.  The eigenvalues are those of the Hermitian parts.
     ``DensityMatrix.from_matrix`` keeps its own single-matrix checks, which
-    cost less per call on the small states of the line searches.
+    cost less per call on small states.
     """
     herm_tol, trace_tol, psd_tol = HERM_TOL, TRACE_TOL, resolve(None, "PSD_TOL")
     sym = (stack + np.conj(np.swapaxes(stack, -1, -2))) / 2.0

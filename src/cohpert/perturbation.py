@@ -6,7 +6,8 @@ quantities that control the first and second derivatives of the output
 entropies, classifies the full-rank / rank-deficient cases, and provides
 exact ``f(eps)`` evaluation plus an independent finite-difference oracle.
 :class:`FamilyEvaluator` holds the channel images and spectra of one
-(channel, family) pair, so that each is computed once.
+(channel, family) pair, so that each is computed once; the line searches
+for optimal states run on one evaluator per line.
 
 Internally every logarithm here is natural: the trace formulas below are
 derivatives of the natural-log entropy.  Finite derivative values are
@@ -19,13 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
 from .channels import QuantumChannel, apply_matrix, complement
-from .errors import RankCaseError
-from .info import _entropy_bits
+from .errors import DimensionError, RankCaseError
+from .info import FLAG_LINE_MAX_NONPOSITIVE, InfoValue, _entropy_bits, coherent_information
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
@@ -49,6 +50,12 @@ STACK_ENTRIES = 2 ** 12
 """Complex entries (64 KiB) in one stacked ``eigvalsh`` call along a family:
 a grid is evaluated in chunks of ``STACK_ENTRIES // dim**2`` points (at
 least one), so peak memory does not grow with the grid."""
+
+SECTION_POINTS = 16
+"""Interior points per round of :func:`section_maximize`; a round keeps 2 of
+its 17 cells, so a unit bracket shrinks to 1e-8 in at most 9 rounds."""
+
+LINE_FAMILIES = ("ad_diagonal", "platypus_diagonal", "fixed_maximally_mixed")
 
 RANK_BOTH_FULL = "both_full"
 RANK_ONE_DEFICIENT = "one_deficient"
@@ -162,6 +169,19 @@ def state_at(fam: PerturbationFamily, eps: float) -> DensityMatrix:
     if eps < 0.0:
         raise ValueError(f"eps must be non-negative, got {eps!r}")
     return DensityMatrix.from_matrix(fam.matrix_at(eps))
+
+
+def state_stacks(fam: PerturbationFamily, eps: Sequence[float]) -> list[np.ndarray]:
+    """The states ``rho(eps)`` in the stacks of :func:`_line_stacks`, each
+    checked as :func:`state_at` checks one, with the same exceptions; the
+    matrices equal those of ``state_at``."""
+    eps = np.asarray(eps, dtype=float)
+    if np.any(eps < 0.0):
+        raise ValueError(f"eps must be non-negative, got {float(eps[eps < 0.0][0])!r}")
+    stacks = list(_line_stacks(fam.base.matrix, fam.a1.matrix, fam.a2.matrix, eps))
+    for stack in stacks:
+        state_spectra(stack)
+    return stacks
 
 
 def _as_array(B: Union[HermitianOperator, np.ndarray]) -> np.ndarray:
@@ -358,16 +378,11 @@ class FamilyEvaluator:
         """
         kernel_tol = resolve(None, "KERNEL_TOL")
         eps = np.asarray(eps, dtype=float)
-        if np.any(eps < 0.0):
-            raise ValueError(f"eps must be non-negative, got {float(eps[eps < 0.0][0])!r}")
-        fam = self.family
-        for stack in _line_stacks(fam.base.matrix, fam.a1.matrix, fam.a2.matrix, eps):
-            state_spectra(stack)
+        state_stacks(self.family, eps)
         out, env = (
-            np.array([
-                _entropy_bits(np.clip(w, 0.0, None), kernel_tol)[0]
+            np.concatenate([np.empty(0)] + [
+                _entropy_bits(np.clip(state_spectra(stack), 0.0, None), kernel_tol)
                 for stack in _line_stacks(side.state, side.a1, side.a2, eps)
-                for w in state_spectra(stack)
             ])
             for side in (self.out, self.env)
         )
@@ -378,6 +393,76 @@ class FamilyEvaluator:
         ``I_c(rho)`` comes from the same stacked calls, at ``eps = 0``."""
         values = self.coherent_information(np.concatenate(([0.0], np.asarray(eps, dtype=float))))
         return values[1:] - values[0]
+
+
+def basis_line(dim: int, basis: str) -> PerturbationFamily:
+    """Line from ``|0>`` to ``|dim-1>`` (``"z"``) or from ``|+>`` to ``|->`` (``"x"``)."""
+    if basis == "z":
+        vec_lo, vec_hi = np.eye(dim)[0], np.eye(dim)[dim - 1]
+    elif basis == "x":
+        if dim != 2:
+            raise ValueError("x-basis line search needs a qubit input")
+        vec_lo, vec_hi = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    else:
+        raise ValueError(f"unknown line basis {basis!r}")
+    return line_between(DensityMatrix.pure(vec_lo), DensityMatrix.pure(vec_hi))
+
+
+def section_maximize(
+    fn: Callable[[np.ndarray], np.ndarray],
+    lo: float,
+    hi: float,
+    param_tol: float = 1e-8,
+) -> tuple[float, float]:
+    """``(argmax, value)`` of ``fn``, which maps an array of parameters to
+    their values, on ``[lo, hi]``.
+
+    Each round evaluates ``fn`` once, on the bracket's ends and
+    ``SECTION_POINTS`` evenly spaced points between them, and keeps the two
+    cells around the first maximum, so that ties go to the smaller parameter.
+    """
+    a, b = float(lo), float(hi)
+    while True:
+        u = np.linspace(a, b, SECTION_POINTS + 2)
+        values = fn(u)
+        k = int(np.argmax(values))
+        a, b = float(u[max(k - 1, 0)]), float(u[min(k + 1, SECTION_POINTS + 1)])
+        # stop before sampling a bracket of width param_tol or less: near a pure
+        # end of a line, finer points reach eigenvalues of order KERNEL_TOL,
+        # whose cut in the entropy can shift I_c by a few 1e-9 bits
+        if b - a <= param_tol:
+            return float(u[k]), float(values[k])
+
+
+def optimal_line_search(
+    ch: QuantumChannel,
+    family: str,
+    param_tol: float = 1e-8,
+) -> tuple[DensityMatrix, InfoValue]:
+    """Maximize coherent information along a named one-parameter input line.
+
+    ``ad_diagonal`` searches ``(1-u)|0><0| + u|1><1|`` on qubit inputs,
+    ``platypus_diagonal`` searches ``(1-u)|0><0| + u|2><2|`` on qutrit
+    inputs, and ``fixed_maximally_mixed`` evaluates the maximally mixed
+    state with no search.  The searched lines include pure endpoints, so
+    the line maximum is never negative; when no interior point beats the
+    endpoints the result is clamped to 0 and flagged.
+    """
+    if family not in LINE_FAMILIES:
+        raise ValueError(f"unknown line family {family!r}; expected one of {LINE_FAMILIES}")
+    if family == "fixed_maximally_mixed":
+        rho = DensityMatrix.maximally_mixed(ch.dim_in)
+        return rho, coherent_information(rho, ch)
+    dim, kind = (2, "qubit") if family == "ad_diagonal" else (3, "qutrit")
+    if ch.dim_in != dim:
+        raise DimensionError(f"{family} needs a {kind} input, channel has dim_in={ch.dim_in}")
+    fam = basis_line(dim, "z")
+    ev = FamilyEvaluator(ch, fam)
+    u_star, value = section_maximize(ev.coherent_information, 0.0, 1.0, param_tol)
+    if value > 0.0:
+        return state_at(fam, u_star), InfoValue(value)
+    # no interior point beats the pure endpoint u = 0, whose I_c is exactly 0
+    return fam.base, InfoValue(0.0, frozenset({FLAG_LINE_MAX_NONPOSITIVE}))
 
 
 def derivative_profile(

@@ -39,9 +39,15 @@ from .criteria import (
     threshold_scan,
 )
 from .errors import NoSignChangeError, RankCaseError
-from .info import coherent_information, optimal_line_search
+from .info import coherent_information
 from .linalg import DensityMatrix, HermitianOperator
-from .perturbation import PerturbationFamily, line_between
+from .perturbation import (
+    PerturbationFamily,
+    basis_line,
+    line_between,
+    optimal_line_search,
+    state_at,
+)
 
 SCENARIOS = (
     "depolarizing-n2",
@@ -122,9 +128,7 @@ def two_qubit_tilt_family() -> PerturbationFamily:
 
 def qubit_flip_family() -> PerturbationFamily:
     """Move |0><0| along the diagonal toward |1><1| (first order only)."""
-    zero = DensityMatrix.pure([1.0, 0.0])
-    one = DensityMatrix.pure([0.0, 1.0])
-    return line_between(zero, one)
+    return basis_line(2, "z")
 
 
 def platypus_ad_family(w: float, a: float = 0.99) -> PerturbationFamily:
@@ -350,10 +354,7 @@ def _scenario_platypus_ad(cfg: ScenarioConfig) -> dict:
         damp = amplitude_damping_channel(gamma)
         if "w" in cfg.params:
             w_star = float(cfg.params["w"])
-            m = np.zeros((3, 3), dtype=complex)
-            m[0, 0] = 1.0 - w_star
-            m[2, 2] = w_star
-            state1 = DensityMatrix.from_matrix(m)
+            state1 = state_at(basis_line(3, "z"), w_star)
         else:
             state1, _ = optimal_line_search(plat, "platypus_diagonal")
             w_star = float(state1.matrix[2, 2].real)

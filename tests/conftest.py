@@ -14,6 +14,7 @@ from cohpert import (
     make_channel,
     reduced_resolvent,
     spectral_decompose,
+    state_at,
     tensor,
     w_trace,
 )
@@ -120,6 +121,69 @@ def shannon_bits(probs):
         if p > 0.0:
             total -= p * math.log2(p)
     return total
+
+
+def compacted_entropy_bits(eigenvalues, kernel_tol):
+    """Reference entropy of one clipped spectrum: ``-sum w log2 w`` over the
+    eigenvalues above ``kernel_tol`` only."""
+    kept = eigenvalues[eigenvalues > kernel_tol]
+    return float(-(kept * np.log2(kept)).sum()) if kept.size else 0.0
+
+
+def plain_coherent_information(kraus, rho):
+    """``S(N(rho)) - S(N^c(rho))`` in bits from the Kraus operators alone, with
+    ``N^c(rho) = [tr(K_k rho K_l^dag)]_kl`` and no eigenvalue cut."""
+    def entropy(m):
+        w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+        w = w[w > 0.0]
+        return float(-(w * np.log2(w)).sum())
+
+    out = sum(k @ rho @ k.conj().T for k in kraus)
+    env = np.array([[np.trace(k @ rho @ l.conj().T) for l in kraus] for k in kraus])
+    return entropy(out) - entropy(env)
+
+
+def golden_section_max(fn, lo=0.0, hi=1.0, tol=1e-9):
+    """Reference scalar maximizer: plain golden-section search on ``[lo, hi]``,
+    returning ``(argmax, value)``."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    x = a if fn(a) >= fn(b) else b
+    return x, fn(x)
+
+
+def loop_admissible_r(sigma, fam, eps_grid, psd_tol=1e-9, r_tol=1e-6):
+    """Reference r-bar: for each ``eps`` on its own, the largest ``r`` in (0, 1]
+    with ``sigma - r * rho(eps)`` PSD by bisection, one eigensolver call per
+    matrix; the least of these."""
+    def one(state):
+        def ok(r):
+            m = HermitianOperator.from_matrix(sigma.matrix - r * state.matrix).matrix
+            return float(np.linalg.eigvalsh(m)[0]) >= -psd_tol
+
+        if ok(1.0):
+            return 1.0
+        lo, hi = 0.0, 1.0
+        while hi - lo > r_tol:
+            mid = 0.5 * (lo + hi)
+            if ok(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    return min(one(state_at(fam, eps)) for eps in eps_grid)
 
 
 def depolarizing_pair_w_traces(p):

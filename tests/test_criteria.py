@@ -26,9 +26,10 @@ from cohpert import (
     tensor,
     threshold_scan,
 )
+from cohpert import PositivityError, admissible_radius, criteria
 from cohpert.criteria import default_witness_grid
 from cohpert.scenarios import platypus_ad_family, qubit_flip_family, two_qubit_tilt_family
-from conftest import random_traceless
+from conftest import loop_admissible_r, random_channel, random_density, random_pure, random_traceless
 
 
 def platypus_damping_pair(s=0.2, gamma=0.5):
@@ -260,6 +261,70 @@ def test_detect_private_gap_depolarizing(p):
     eps, value = report.numeric_confirmation
     assert value < -1e-8
     assert any("private capacity of the complement" in note for note in report.notes)
+
+
+def _default_gap_grid(fam):
+    return default_witness_grid(min(admissible_radius(fam), 0.25), lo=1e-8, points=40)
+
+
+def _pure_base_second_order_family(rng, dim):
+    base = random_pure(rng, dim)
+    toward = random_density(rng, dim)
+    a1 = HermitianOperator.from_matrix(toward.matrix - base.matrix)
+    return PerturbationFamily.build(base, a1, random_traceless(rng, dim, 0.05))
+
+
+def test_stacked_admissible_r_equals_per_eps_loop(rng):
+    ch = depolarizing_channel(0.1)
+    # the gap-depolarizing flip family at its default grid
+    cases = [(DensityMatrix.maximally_mixed(2), qubit_flip_family(), None)]
+    # random full-rank sigma against second-order families
+    for dim in (2, 3, 4):
+        fam = _pure_base_second_order_family(rng, dim)
+        cases.append((random_density(rng, dim), fam, None))
+    # a pure sigma (rank deficient, as dephrasure's primary maximum beyond
+    # its boundary): only the psd_tol slack admits r > 0 at small eps
+    flip = qubit_flip_family()
+    cases.append((flip.base, flip, tuple(np.geomspace(1e-10, 1e-8, 12))))
+    cases.append((flip.base, flip, None))
+    for sigma, fam, grid in cases:
+        grid = grid or _default_gap_grid(fam)
+        channel = ch if fam.base.dim == 2 else random_channel(rng, fam.base.dim, 2, 3)
+        report = detect_private_gap(channel, sigma, fam, eps_grid=grid)
+        assert report.admissible_r == loop_admissible_r(sigma, fam, grid)
+    assert 0.05 < detect_private_gap(ch, flip.base, flip, eps_grid=cases[-2][2]).admissible_r < 0.2
+
+
+def test_stacked_admissible_r_rejects_grid_outside_the_family():
+    ch, sigma, fam = depolarizing_channel(0.1), DensityMatrix.maximally_mixed(2), qubit_flip_family()
+    with pytest.raises(PositivityError):
+        detect_private_gap(ch, sigma, fam, eps_grid=(0.1, 1.5))
+    with pytest.raises(ValueError):
+        detect_private_gap(ch, sigma, fam, eps_grid=(0.1, -0.1))
+
+
+def test_admissible_r_spends_at_most_25_eigensolver_calls(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    inside = []
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda m: calls.append(bool(inside)) or eigvalsh(m)
+    )
+    search = criteria._largest_admissible_r
+
+    def counted(*args, **kwargs):
+        inside.append(True)
+        try:
+            return search(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(criteria, "_largest_admissible_r", counted)
+    report = detect_private_gap(
+        depolarizing_channel(0.1), DensityMatrix.maximally_mixed(2), qubit_flip_family()
+    )
+    assert report.admissible_r == pytest.approx(0.5, abs=2e-6)
+    assert 0 < sum(calls) <= 25
 
 
 def test_detect_private_gap_requires_pure_base():

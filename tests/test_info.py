@@ -8,8 +8,10 @@ from cohpert import (
     HermitianOperator,
     PositivityError,
     amplitude_damping_channel,
+    apply,
     coherent_information,
     complement,
+    complement_line_witness,
     depolarizing_channel,
     dephrasure_channel,
     holevo_information,
@@ -20,8 +22,26 @@ from cohpert import (
     tensor,
     von_neumann_entropy,
 )
-from cohpert.info import FLAG_CLAMPED, FLAG_LINE_MAX_NONPOSITIVE, golden_section_maximize
-from conftest import random_channel, random_density, random_pure, shannon_bits
+from cohpert import perturbation
+from cohpert.info import FLAG_CLAMPED, FLAG_LINE_MAX_NONPOSITIVE, FLAG_NEAR_KERNEL, _entropy_bits
+from cohpert.perturbation import SECTION_POINTS, section_maximize
+from conftest import (
+    compacted_entropy_bits,
+    golden_section_max,
+    plain_coherent_information,
+    random_channel,
+    random_density,
+    random_pure,
+    shannon_bits,
+)
+
+
+def count_eigvalsh(monkeypatch):
+    """Route ``np.linalg.eigvalsh`` through a counter; returns the call list."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+    return calls
 
 
 def test_entropy_maximally_mixed():
@@ -160,10 +180,137 @@ def test_holevo_dominates_private_information(rng):
         assert chi >= private_information(ens, ch).value - 1e-10
 
 
-def test_golden_section_finds_quadratic_peak():
-    x, v = golden_section_maximize(lambda u: -(u - 0.3) ** 2, 0.0, 1.0)
-    assert x == pytest.approx(0.3, abs=1e-7)
+def test_section_search_finds_quadratic_peak():
+    x, v = section_maximize(lambda u: -(u - 0.3) ** 2, 0.0, 1.0)
+    assert x == pytest.approx(0.3, abs=1e-8)
     assert v == pytest.approx(0.0, abs=1e-12)
+
+
+def test_section_search_plateau_resolves_to_smaller_parameter():
+    # flat maximum on [0.2, 0.4]: ties go to the smaller parameter
+    x, v = section_maximize(lambda u: np.minimum(0.1 - np.abs(u - 0.3), 0.0), 0.0, 1.0)
+    assert v == 0.0
+    assert x == pytest.approx(0.2, abs=1e-8)
+    assert x >= 0.2 - 1e-12
+
+
+def test_section_search_evaluates_one_stack_per_round():
+    rounds = []
+
+    def fn(u):
+        rounds.append(len(u))
+        return -(u - 0.3) ** 2
+
+    section_maximize(fn, 0.0, 1.0, param_tol=1e-8)
+    assert set(rounds) == {SECTION_POINTS + 2}
+    # each round keeps at most 2 of its SECTION_POINTS + 1 cells
+    assert len(rounds) <= 9
+
+
+def _line_value(kraus, lo, hi):
+    """Reference line maximum: golden section on each half of the line."""
+    def value(u):
+        return plain_coherent_information(kraus, (1.0 - u) * lo + u * hi)
+
+    return max(golden_section_max(value, 0.0, 0.5), golden_section_max(value, 0.5, 1.0),
+               key=lambda t: t[1])
+
+
+def _basis_pair(dim, basis):
+    if basis == "z":
+        return np.diag(np.eye(dim)[0]).astype(complex), np.diag(np.eye(dim)[dim - 1]).astype(complex)
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    return np.outer(plus, plus).astype(complex), np.outer(minus, minus).astype(complex)
+
+
+LINE_CASES = [
+    (dephrasure_channel(0.1, 0.2), "ad_diagonal"),
+    (dephrasure_channel(0.1, 0.3), "ad_diagonal"),
+    (platypus_channel(0.2), "platypus_diagonal"),
+    (amplitude_damping_channel(0.2), "ad_diagonal"),
+    (amplitude_damping_channel(0.75), "ad_diagonal"),
+    # beyond the positive-I_c boundary the search closes in on u = 0, where
+    # points below ~3e-10 cut one side's eigenvalues at KERNEL_TOL and not
+    # the other's, which reads a spurious I_c of +2.9e-9 bits
+    (dephrasure_channel(0.16146341678303697, 0.32317905922203954), "ad_diagonal"),
+]
+
+
+@pytest.mark.parametrize("ch,family", LINE_CASES)
+def test_optimal_line_search_matches_golden_section_oracle(ch, family):
+    state, value = optimal_line_search(ch, family)
+    kraus = np.array(ch.kraus)
+    lo, hi = _basis_pair(ch.dim_in, "z")
+    _, expected = _line_value(kraus, lo, hi)
+    assert value.value == pytest.approx(max(expected, 0.0), abs=1e-10)
+    assert coherent_information(state, ch).value == pytest.approx(value.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("ch,family", LINE_CASES)
+def test_complement_line_witness_matches_golden_section_oracle(ch, family):
+    bases = ("z", "x") if ch.dim_in == 2 else ("z",)
+    state, value, basis = complement_line_witness(ch, bases)
+    # complement Kraus operators from the definition: [L_m]_{k,:} = row m of K_k
+    env_kraus = np.transpose(np.array(ch.kraus), (1, 0, 2))
+    expected = {b: _line_value(env_kraus, *_basis_pair(ch.dim_in, b))[1] for b in bases}
+    assert value == pytest.approx(max(expected.values()), abs=1e-10)
+    assert expected[basis] == pytest.approx(value, abs=1e-10)
+    assert coherent_information(state, complement(ch)).value == pytest.approx(value, abs=1e-12)
+
+
+def test_line_search_symmetric_dephrasure_returns_a_maximizer():
+    # I_c along diag(1-u, u) is symmetric under u <-> 1-u; at q = 0.34 it has
+    # two mirror maxima and neither is at u = 1/2
+    ch = dephrasure_channel(0.1, 0.34)
+    state, value = optimal_line_search(ch, "ad_diagonal")
+    kraus = np.array(ch.kraus)
+    u_half, best = golden_section_max(
+        lambda u: plain_coherent_information(kraus, np.diag([1.0 - u, u]).astype(complex)), 0.0, 0.5
+    )
+    assert best > plain_coherent_information(kraus, np.eye(2) / 2.0) + 1e-6
+    assert value.value == pytest.approx(best, abs=1e-10)
+    u = state.matrix[1, 1].real
+    assert min(abs(u - u_half), abs(u - (1.0 - u_half))) < 1e-6
+    mirrored = np.diag([u, 1.0 - u]).astype(complex)
+    assert plain_coherent_information(kraus, mirrored) == pytest.approx(value.value, abs=1e-12)
+
+
+def test_line_search_stays_within_three_eigensolver_calls_per_round(monkeypatch):
+    rounds = []
+    search = perturbation.section_maximize
+
+    def counted(fn, *args, **kwargs):
+        return search(lambda u: rounds.append(u) or fn(u), *args, **kwargs)
+
+    monkeypatch.setattr(perturbation, "section_maximize", counted)
+    calls = count_eigvalsh(monkeypatch)
+    optimal_line_search(dephrasure_channel(0.1, 0.2), "ad_diagonal")
+    assert 0 < len(rounds) <= 9
+    # the returned state's own validation is the one call outside the rounds
+    assert len(calls) <= 3 * len(rounds) + 1
+
+
+def test_line_searches_build_one_complement_per_line(monkeypatch):
+    from cohpert import criteria
+
+    built = []
+    build = perturbation.complement
+
+    def counted(ch):
+        built.append(ch)
+        return build(ch)
+
+    monkeypatch.setattr(perturbation, "complement", counted)
+    monkeypatch.setattr(criteria, "complement", counted)
+    ch = dephrasure_channel(0.1, 0.3)
+    optimal_line_search(ch, "ad_diagonal")
+    assert built == [ch]
+    built.clear()
+    complement_line_witness(ch, ("z", "x"))
+    # the complement itself, then one evaluator (one complement) per line
+    assert len(built) == 3
+    assert built[0] is ch and built[1] is built[2]
 
 
 def test_line_search_amplitude_damping_at_half():
@@ -206,6 +353,57 @@ def test_line_search_family_mismatch():
         optimal_line_search(dephrasure_channel(0.1, 0.2), "platypus_diagonal")
     with pytest.raises(ValueError):
         optimal_line_search(identity_channel(2), "bloch_sphere")
+
+
+def test_coherent_information_takes_entropies_from_the_validation_spectra(monkeypatch):
+    rho = DensityMatrix.from_matrix(np.diag([0.7, 0.3]))
+    for ch in (depolarizing_channel(0.1), amplitude_damping_channel(0.3), dephrasure_channel(0.1, 0.2)):
+        out = von_neumann_entropy(apply(ch, rho))
+        env = von_neumann_entropy(apply(complement(ch), rho))
+        calls = count_eigvalsh(monkeypatch)
+        info = coherent_information(rho, ch)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert info.value == out.value - env.value
+        assert info.flags == out.flags | env.flags
+
+
+def test_coherent_information_keeps_both_positivity_checks():
+    # images of a state with a negative eigenvalue under the identity channel:
+    # the image validation rejects below PSD_TOL, the caller's psd_tol below that
+    ch = identity_channel(2)
+    far = DensityMatrix(HermitianOperator.from_matrix(np.diag([1.0 + 1e-8, -1e-8])))
+    with pytest.raises(PositivityError, match="density matrix has eigenvalue"):
+        coherent_information(far, ch)
+    near = DensityMatrix(HermitianOperator.from_matrix(np.diag([1.0 + 1e-11, -1e-11])))
+    with pytest.raises(PositivityError, match=r"^eigenvalue .* below -1.0e-12"):
+        coherent_information(near, ch, psd_tol=1e-12)
+    assert FLAG_CLAMPED in coherent_information(near, ch).flags
+
+
+def test_stacked_entropy_equals_each_row_alone(rng):
+    kernel_tol = 1e-10
+    for dim in (4, 7, 16, 64):
+        rows = []
+        for _ in range(6):
+            # a clamped, a cut and a boundary eigenvalue below the rest
+            small = np.array([-1e-12, 5e-11, 1e-10])
+            w = np.sort(rng.dirichlet(np.ones(dim - 3))) * (1.0 - small.sum())
+            rows.append(np.concatenate((small, w)))
+        spectra = np.clip(np.array(rows), 0.0, None)
+        stacked = _entropy_bits(spectra, kernel_tol)
+        for w, value in zip(spectra, stacked):
+            assert value == _entropy_bits(w, kernel_tol)
+            reference = compacted_entropy_bits(w, kernel_tol)
+            if dim < 8:
+                # numpy sums fewer than eight terms in order, so the masked
+                # zeros leave the compacted sum's rounding unchanged
+                assert value == reference
+            else:
+                assert value == pytest.approx(reference, rel=4 * dim * np.finfo(float).eps)
+        assert von_neumann_entropy(DensityMatrix.from_matrix(np.diag(rows[0]))).flags >= {
+            FLAG_CLAMPED, FLAG_NEAR_KERNEL
+        }
 
 
 def test_entropy_flags_near_kernel_eigenvalue():

@@ -7,7 +7,6 @@ from cohpert import (
     HermiticityError,
     PositivityError,
     kernel_projector,
-    psd_min_eig,
     reduced_resolvent,
     spectral_decompose,
 )
@@ -138,15 +137,6 @@ def test_reduced_resolvent_bad_index():
     dec = spectral_decompose(np.eye(2))
     with pytest.raises(IndexError):
         reduced_resolvent(dec, 3)
-
-
-def test_psd_min_eig_values():
-    assert psd_min_eig(np.eye(2) / 2) == pytest.approx(0.5)
-    assert psd_min_eig(np.diag([0.7, 0.3])) == pytest.approx(0.3)
-    # sigma - r * rho(eps) for sigma = 1/2, rho(eps) = diag(1-eps, eps), r = 0.5, eps = 0.1
-    sigma = np.eye(2) / 2
-    rho_eps = np.diag([0.9, 0.1])
-    assert psd_min_eig(sigma - 0.5 * rho_eps) == pytest.approx(0.05)
 
 
 def test_kernel_projector_platypus_damping_complement():
