@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -46,23 +45,13 @@ def _parse_kv(pairs: Sequence[str], cast=float) -> dict:
     out = {}
     for pair in pairs or ():
         if "=" not in pair:
-            raise argparse.ArgumentTypeError(f"expected key=value, got {pair!r}")
+            raise ValueError(f"expected key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         try:
             out[key] = cast(value)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"bad value in {pair!r}: {exc}") from exc
+            raise ValueError(f"bad value in {pair!r}: {exc}") from exc
     return out
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("COHPERT_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            print(f"warning: ignoring non-integer COHPERT_JOBS={env!r}", file=sys.stderr)
-    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,10 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("name", choices=[s for s in SCENARIOS if s != "custom"])
     sc.add_argument("--grid", type=_parse_grid, default=None, metavar="LO:HI:STEPS")
     sc.add_argument("--out", default=".", metavar="DIR", help="output directory")
-    sc.add_argument("--seed", type=int, default=0)
     sc.add_argument("--format", choices=["csv", "json", "both"], default="both")
-    sc.add_argument("--jobs", type=int, default=None, metavar="N",
-                    help="parallel grid evaluations (default: COHPERT_JOBS or 1)")
     sc.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                     help="channel parameter override (repeatable)")
     sc.add_argument("--tol", action="append", default=[], metavar="KEY=VALUE",
@@ -152,8 +138,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 params=_parse_kv(args.param),
                 grid=args.grid,
                 output=args.out,
-                seed=args.seed,
-                jobs=args.jobs if args.jobs is not None else _default_jobs(),
                 fmt=args.format,
             )
             summary = run_scenario(cfg)

@@ -1,10 +1,9 @@
 """Dense complex Hermitian linear algebra.
 
-Eigendecomposition with eigenvalue clustering (eigenvectors kept, spectral
-projectors derived on demand), kernel detection, reduced resolvents and
-positive-semidefiniteness checks.  All types are immutable after
-construction and all operations are pure functions, so everything here is
-safe to share across threads.
+Eigendecomposition with eigenvalue clustering (eigenvectors kept), kernel
+detection and positive-semidefiniteness checks.  All types are immutable
+after construction and all operations are pure functions, so everything
+here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -142,22 +141,6 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class Projector:
-    """An orthogonal projector together with its rank."""
-
-    op: HermitianOperator
-    rank: int
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
-
-    @classmethod
-    def zero(cls, dim: int) -> "Projector":
-        return cls(HermitianOperator.zero(dim), 0)
-
-
-@dataclass(frozen=True)
 class SpectralDecomposition:
     """Distinct (clustered) eigenvalues with their eigenvectors.
 
@@ -167,8 +150,7 @@ class SpectralDecomposition:
     order, and ``column_values`` gives each column its cluster value.
     Clustering is by transitive closure: raw eigenvalues whose chain of
     mutual gaps stays within ``cluster_tol`` merge into one cluster whose
-    value is the mean of its members.  ``projectors[i]`` projects onto the
-    span of cluster ``i``; it is built from ``vectors`` on first access.
+    value is the mean of its members.
     """
 
     eigenvalues: tuple[float, ...]
@@ -187,26 +169,12 @@ class SpectralDecomposition:
     def column_values(self) -> np.ndarray:
         return np.repeat(self.eigenvalues, self.multiplicities)
 
-    @cached_property
-    def projectors(self) -> tuple[HermitianOperator, ...]:
-        out = []
-        stops = np.cumsum(self.multiplicities)
-        for start, stop in zip(stops - self.multiplicities, stops):
-            block = self.vectors[:, start:stop]
-            proj = block @ block.conj().T
-            out.append(HermitianOperator(_frozen((proj + proj.conj().T) / 2.0)))
-        return tuple(out)
-
-    def kernel_indices(self, kernel_tol: float | None = None) -> tuple[int, ...]:
-        kernel_tol = resolve(kernel_tol, "KERNEL_TOL")
-        return tuple(i for i, v in enumerate(self.eigenvalues) if abs(v) <= kernel_tol)
-
     def kernel_columns(self, kernel_tol: float | None = None) -> np.ndarray:
         """Mask of the columns of ``vectors`` that span the kernel."""
         return np.abs(self.column_values) <= resolve(kernel_tol, "KERNEL_TOL")
 
     def is_full_rank(self, kernel_tol: float | None = None) -> bool:
-        return not self.kernel_indices(kernel_tol)
+        return not self.kernel_columns(kernel_tol).any()
 
     def in_eigenbasis(self, b: np.ndarray) -> np.ndarray:
         """``V^dag b V``, with ``V`` the matrix of ``vectors``."""
@@ -273,49 +241,6 @@ def spectral_decompose(
     if np.linalg.norm(decomp.reconstruct() - m) > allowed:
         raise ValueError("spectral data does not reconstruct the operator")
     return decomp
-
-
-def kernel_projector(
-    decomp: SpectralDecomposition,
-    kernel_tol: float | None = None,
-) -> Projector:
-    """Projector onto the kernel of the decomposed operator.
-
-    Sums the projectors of all clusters with ``|value| <= kernel_tol``.
-    A full-rank operator yields the rank-0 zero projector.  A cluster value
-    below ``-kernel_tol`` signals a non-PSD source and raises.
-    """
-    kernel_tol = resolve(kernel_tol, "KERNEL_TOL")
-    negative = [v for v in decomp.eigenvalues if v < -kernel_tol]
-    if negative:
-        raise PositivityError(
-            f"operator has negative eigenvalue {min(negative):.3e}; kernel is undefined"
-        )
-    idx = decomp.kernel_indices(kernel_tol)
-    if not idx:
-        return Projector.zero(decomp.dim)
-    total = sum(decomp.projectors[i].matrix for i in idx)
-    rank = sum(decomp.multiplicities[i] for i in idx)
-    return Projector(HermitianOperator(_frozen(total)), rank)
-
-
-def reduced_resolvent(decomp: SpectralDecomposition, target_index: int) -> HermitianOperator:
-    """Sum of ``(lambda_j - lambda_i)^-1 P_j`` over clusters ``j != i``.
-
-    The result ``S`` satisfies ``S P_i = P_i S = 0`` and inverts
-    ``H - lambda_i`` on the orthogonal complement of cluster ``i``.  A
-    single-cluster decomposition returns the zero operator (empty sum).
-    """
-    n = len(decomp)
-    if not 0 <= target_index < n:
-        raise IndexError(f"target_index {target_index} out of range for {n} clusters")
-    out = np.zeros((decomp.dim, decomp.dim), dtype=complex)
-    target = decomp.eigenvalues[target_index]
-    for j in range(n):
-        if j == target_index:
-            continue
-        out += decomp.projectors[j].matrix / (decomp.eigenvalues[j] - target)
-    return HermitianOperator(_frozen(out))
 
 
 def state_spectra(stack: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -81,8 +80,6 @@ class ScenarioConfig:
     params: Mapping[str, float] = field(default_factory=dict)
     grid: GridSpec | None = None
     output: str = "."
-    seed: int = 0
-    jobs: int = 1
     fmt: str = "both"
     extra: Mapping[str, object] = field(default_factory=dict)
 
@@ -91,25 +88,26 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
         if self.fmt not in ("csv", "json", "both"):
             raise ValueError(f"format must be csv, json or both, got {self.fmt!r}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "ScenarioConfig":
         if not isinstance(obj, Mapping):
             raise ValueError("scenario config must be a JSON object")
-        known = {"scenario", "params", "grid", "output", "seed", "jobs", "format"}
+        known = {"scenario", "params", "grid", "output", "format"}
         grid = None
         if obj.get("grid") is not None:
             g = obj["grid"]
-            grid = GridSpec(float(g["lo"]), float(g["hi"]), int(g["steps"]))
+            try:
+                grid = GridSpec(float(g["lo"]), float(g["hi"]), int(g["steps"]))
+            except (KeyError, TypeError) as exc:
+                raise ValueError(
+                    f"grid must be an object with numeric lo, hi and steps, got {g!r}"
+                ) from exc
         return cls(
             scenario=obj.get("scenario", ""),
             params=dict(obj.get("params", {}) or {}),
             grid=grid,
             output=str(obj.get("output", ".")),
-            seed=int(obj.get("seed", 0)),
-            jobs=int(obj.get("jobs", 1)),
             fmt=str(obj.get("format", "both")),
             extra={k: v for k, v in obj.items() if k not in known},
         )
@@ -167,13 +165,6 @@ def dephrasure_positive_ic_boundary(p: float) -> float:
 
 # ---------------------------------------------------------------------------
 # scan engine
-
-
-def _map_grid(fn: Callable[[float], dict], values: Sequence[float], jobs: int) -> list[dict]:
-    if jobs <= 1 or len(values) <= 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, values))
 
 
 def _fmt(value: object) -> str:
@@ -258,7 +249,7 @@ def _scenario_depolarizing_n2(cfg: ScenarioConfig) -> dict:
             "_detector": detector,
         }
 
-    rows = _map_grid(row, grid.values(), cfg.jobs)
+    rows = [row(v) for v in grid.values()]
     margins = [(r["p"], r["margin"]) for r in rows]
 
     def refine(lo: float, hi: float) -> float:
@@ -292,7 +283,7 @@ def _scenario_hashing_curve(cfg: ScenarioConfig) -> dict:
         mixed = DensityMatrix.maximally_mixed(2)
         return {"p": p, "ic_bits": coherent_information(mixed, depolarizing_channel(p)).value}
 
-    rows = _map_grid(row, grid.values(), cfg.jobs)
+    rows = [row(v) for v in grid.values()]
     margins = [(r["p"], r["ic_bits"]) for r in rows]
 
     def refine(lo: float, hi: float) -> float:
@@ -335,7 +326,7 @@ def _scenario_gap_depolarizing(cfg: ScenarioConfig) -> dict:
             "_detector": detector,
         }
 
-    rows = _map_grid(row, values, cfg.jobs)
+    rows = [row(v) for v in values]
     detectors = [r.pop("_detector") for r in rows]
     return {
         "columns": GAP_DEPOLARIZING_COLUMNS,
@@ -376,7 +367,7 @@ def _scenario_platypus_ad(cfg: ScenarioConfig) -> dict:
             "_detector": detector,
         }
 
-    rows = _map_grid(row, grid.values(), cfg.jobs)
+    rows = [row(v) for v in grid.values()]
     detectors = [r.pop("_detector") for r in rows]
     firing = [d.to_json() for d in detectors if d.conclusion == "superadditive"]
     return {
@@ -406,7 +397,7 @@ def _scenario_dephrasure_gap(cfg: ScenarioConfig) -> dict:
             "_detector": detector,
         }
 
-    rows = _map_grid(row, grid.values(), cfg.jobs)
+    rows = [row(v) for v in grid.values()]
     detectors = [r.pop("_detector") for r in rows]
     return {
         "columns": DEPHRASURE_GAP_COLUMNS,
@@ -491,7 +482,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
             extra["channel"], extra["family"], extra["criterion"],
             str(extra.get("sense", "positive_f")),
         )
-        payload = {"scenario": "custom", "seed": cfg.seed, "report": report.to_json()}
+        payload = {"scenario": "custom", "report": report.to_json()}
         json_path = base + ".json"
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -502,7 +493,6 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         "scenario": cfg.scenario,
         "params": dict(cfg.params),
         "grid": None if cfg.grid is None else {"lo": cfg.grid.lo, "hi": cfg.grid.hi, "steps": cfg.grid.steps},
-        "seed": cfg.seed,
         "report": result["report"],
         "rows": [{k: v for k, v in row.items()} for row in result["rows"]],
     }

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -10,15 +11,15 @@ from cohpert import (
     apply_matrix,
     complement,
     depolarizing_channel,
-    kernel_projector,
+    PositivityError,
     make_channel,
-    reduced_resolvent,
     spectral_decompose,
     state_at,
     tensor,
     w_trace,
 )
 from cohpert.scenarios import two_qubit_tilt_family
+from cohpert.tolerances import resolve
 
 
 def random_channel(rng, d_in, d_out, d_env):
@@ -58,13 +59,80 @@ def rotated_spectrum(rng, values):
     return u @ np.diag(values) @ u.conj().T
 
 
+@dataclass(frozen=True)
+class Projector:
+    """An orthogonal projector together with its rank."""
+
+    op: HermitianOperator
+    rank: int
+
+    @property
+    def matrix(self):
+        return self.op.matrix
+
+
+def projectors(dec):
+    """Reference spectral projectors: ``P_i`` onto the span of cluster ``i``
+    of a decomposition, built from that cluster's columns of ``vectors``."""
+    stops = np.cumsum(dec.multiplicities)
+    out = []
+    for start, stop in zip(stops - dec.multiplicities, stops):
+        block = dec.vectors[:, start:stop]
+        out.append(HermitianOperator.from_matrix(block @ block.conj().T))
+    return tuple(out)
+
+
+def kernel_indices(dec, kernel_tol=None):
+    """Indices of the clusters with ``|value| <= kernel_tol``."""
+    kernel_tol = resolve(kernel_tol, "KERNEL_TOL")
+    return tuple(i for i, v in enumerate(dec.eigenvalues) if abs(v) <= kernel_tol)
+
+
+def kernel_projector(dec, kernel_tol=None):
+    """Reference kernel projector: the sum of the projectors of the kernel
+    clusters, rank 0 and zero for a full-rank operator.  A cluster value
+    below ``-kernel_tol`` signals a non-PSD source and raises."""
+    kernel_tol = resolve(kernel_tol, "KERNEL_TOL")
+    negative = [v for v in dec.eigenvalues if v < -kernel_tol]
+    if negative:
+        raise PositivityError(
+            f"operator has negative eigenvalue {min(negative):.3e}; kernel is undefined"
+        )
+    idx = kernel_indices(dec, kernel_tol)
+    if not idx:
+        return Projector(HermitianOperator.zero(dec.dim), 0)
+    ps = projectors(dec)
+    total = sum(ps[i].matrix for i in idx)
+    return Projector(HermitianOperator.from_matrix(total), sum(dec.multiplicities[i] for i in idx))
+
+
+def reduced_resolvent(dec, target_index, ps=None):
+    """Reference reduced resolvent: ``S_i = sum_{j != i} P_j / (lambda_j - lambda_i)``.
+
+    ``S_i`` satisfies ``S_i P_i = P_i S_i = 0`` and inverts ``H - lambda_i``
+    on the orthogonal complement of cluster ``i``.  A single-cluster
+    decomposition gives the zero operator (empty sum).  ``ps`` passes
+    ``projectors(dec)`` when the caller has already built them.
+    """
+    n = len(dec)
+    if not 0 <= target_index < n:
+        raise IndexError(f"target_index {target_index} out of range for {n} clusters")
+    target = dec.eigenvalues[target_index]
+    out = np.zeros((dec.dim, dec.dim), dtype=complex)
+    for j, p in enumerate(projectors(dec) if ps is None else ps):
+        if j != target_index:
+            out += p.matrix / (dec.eigenvalues[j] - target)
+    return HermitianOperator.from_matrix(out)
+
+
 def projector_w_trace(dec, b):
     """Reference ``w_trace``: ``sum_i tr(P_i B V_i B P_i)`` with
     ``V_i = P_i / lambda_i - 2 ln(lambda_i) S_i``, built from the spectral
     projectors and the reduced resolvents ``S_i``."""
     total = 0.0
-    for i, (lam, p) in enumerate(zip(dec.eigenvalues, dec.projectors)):
-        v = p.matrix / lam - 2.0 * np.log(lam) * reduced_resolvent(dec, i).matrix
+    ps = projectors(dec)
+    for i, (lam, p) in enumerate(zip(dec.eigenvalues, ps)):
+        v = p.matrix / lam - 2.0 * np.log(lam) * reduced_resolvent(dec, i, ps).matrix
         total += np.trace(p.matrix @ b @ v @ b @ p.matrix).real
     return total
 
@@ -73,9 +141,9 @@ def projector_w0_trace(dec, b1, b2):
     """Reference ``w0_trace``: ``tr(P0 B2 - P0 B1 C0 B1 P0)`` with
     ``C0 = sum_{lambda_j > 0} P_j / lambda_j``."""
     p0 = kernel_projector(dec).matrix
-    kernel = dec.kernel_indices()
+    kernel = kernel_indices(dec)
     c0 = sum(
-        (p.matrix / lam for i, (lam, p) in enumerate(zip(dec.eigenvalues, dec.projectors))
+        (p.matrix / lam for i, (lam, p) in enumerate(zip(dec.eigenvalues, projectors(dec)))
          if i not in kernel),
         np.zeros_like(p0),
     )
@@ -85,10 +153,10 @@ def projector_w0_trace(dec, b1, b2):
 def projector_log_trace(dec, b):
     """Reference log trace ``sum_i ln(lambda_i) tr(P_i B)`` over the clusters
     outside the kernel."""
-    kernel = dec.kernel_indices()
+    kernel = kernel_indices(dec)
     return sum(
         np.log(lam) * np.trace(p.matrix @ b).real
-        for i, (lam, p) in enumerate(zip(dec.eigenvalues, dec.projectors))
+        for i, (lam, p) in enumerate(zip(dec.eigenvalues, projectors(dec)))
         if i not in kernel
     )
 

@@ -55,7 +55,6 @@ from cohpert import (
     optimal_line_search,
     platypus_channel,
     private_information,
-    reduced_resolvent,
     spectral_decompose,
     state_at,
     tensor,
@@ -73,10 +72,12 @@ from cohpert.scenarios import (
 from conftest import (
     closed_form_w_traces,
     depolarizing_pair_w_traces,
+    projectors,
     random_channel,
     random_density,
     random_pure,
     random_traceless,
+    reduced_resolvent,
     shannon_bits,
     stated_tilt_env_trace,
 )
@@ -472,10 +473,11 @@ def test_criterion_08_invariant_suite():
         for _ in range(20):
             dec = spectral_decompose(random_density(rng, 4).matrix)
             a = random_traceless(rng, 4).matrix
-            first = sum(np.trace(p.matrix @ a).real for p in dec.projectors)
+            ps = projectors(dec)
+            first = sum(np.trace(p.matrix @ a).real for p in ps)
             second = sum(
-                np.trace(dec.projectors[i].matrix @ a @ reduced_resolvent(dec, i).matrix @ a).real
-                for i in range(len(dec))
+                np.trace(p.matrix @ a @ reduced_resolvent(dec, i, ps).matrix @ a).real
+                for i, p in enumerate(ps)
             )
             if abs(first) > 1e-10 or abs(second) > 1e-9:
                 return False

@@ -20,7 +20,6 @@ from cohpert import (
     identity_channel,
     line_between,
     platypus_channel,
-    reduced_resolvent,
     coherent_information,
     spectral_decompose,
     state_at,
@@ -42,12 +41,15 @@ from conftest import (
     closed_form_w_traces,
     decimal_w_trace,
     depolarizing_pair_w_traces,
+    kernel_indices,
     projector_log_trace,
     projector_w0_trace,
     projector_w_trace,
+    projectors,
     random_channel,
     random_density,
     random_traceless,
+    reduced_resolvent,
     rotated_spectrum,
 )
 
@@ -272,9 +274,10 @@ def test_eigenbasis_kernel_traces_match_projector_form(rng, d):
 
         fam = PerturbationFamily.build(base, HermitianOperator.from_matrix(b1))
         side = FamilyEvaluator(identity_channel(d), fam).out
-        p0 = sum(dec.projectors[i].matrix for i in dec.kernel_indices())
+        ps = projectors(dec)
+        p0 = sum(ps[i].matrix for i in kernel_indices(dec))
         assert side.cluster_traces() == pytest.approx(
-            [np.trace(p.matrix @ b1).real for p in dec.projectors], rel=1e-12, abs=1e-13
+            [np.trace(p.matrix @ b1).real for p in ps], rel=1e-12, abs=1e-13
         )
         assert side.kernel_trace() == pytest.approx(np.trace(p0 @ b1).real, rel=1e-12)
         block_min = np.linalg.eigvalsh(p0 @ b1 @ p0)[0]
@@ -286,11 +289,12 @@ def test_sum_rules(rng):
         h = random_density(rng, 4).matrix
         a = random_traceless(rng, 4).matrix
         dec = spectral_decompose(h)
-        first = sum(np.trace(p.matrix @ a).real for p in dec.projectors)
+        first = sum(np.trace(p.matrix @ a).real for p in projectors(dec))
         assert abs(first) < 1e-10
         second = 0.0
-        for i, p in enumerate(dec.projectors):
-            c_i = reduced_resolvent(dec, i).matrix
+        ps = projectors(dec)
+        for i, p in enumerate(ps):
+            c_i = reduced_resolvent(dec, i, ps).matrix
             second += np.trace(p.matrix @ a @ c_i @ a).real
         assert abs(second) < 1e-9
 

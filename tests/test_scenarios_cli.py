@@ -62,7 +62,7 @@ def test_hashing_curve_deterministic_csv(tmp_path):
     for out in (out_a, out_b):
         run_scenario(
             ScenarioConfig(
-                scenario="hashing-curve", grid=GridSpec(0.0, 0.3, 7), output=str(out), jobs=2
+                scenario="hashing-curve", grid=GridSpec(0.0, 0.3, 7), output=str(out)
             )
         )
     assert read(out_a / "hashing-curve.csv") == read(out_b / "hashing-curve.csv")
@@ -204,12 +204,45 @@ def test_cli_rejects_unknown_scenario_config(tmp_path, capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
-def test_cli_jobs_env_default(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("COHPERT_JOBS", "2")
-    code = main(
-        ["scenario", "hashing-curve", "--grid", "0.2:0.3:4", "--out", str(tmp_path)]
-    )
-    assert code == 0
+@pytest.mark.parametrize("grid", [{"lo": 0.0, "hi": 0.3}, [0.0, 0.3, 4]])
+def test_cli_scan_malformed_grid_is_an_error(tmp_path, capsys, grid):
+    config = tmp_path / "scan.json"
+    config.write_text(json.dumps({"scenario": "hashing-curve", "grid": grid}))
+    with pytest.raises(ValueError, match="grid"):
+        ScenarioConfig.from_json({"scenario": "hashing-curve", "grid": grid})
+    assert main(["scan", str(config)]) == 1
+    assert "error: grid must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--param", "foo"], ["--param", "p=abc"], ["--tol", "kernel_tol"]],
+)
+def test_cli_malformed_key_value_is_an_error(tmp_path, capsys, flags):
+    code = main(["scenario", "gap-depolarizing", "--out", str(tmp_path), *flags])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_scan_ignores_legacy_seed_and_jobs(tmp_path):
+    csv_text = []
+    for name, legacy in (("plain", {}), ("legacy", {"seed": 7, "jobs": 2})):
+        config = tmp_path / f"{name}.json"
+        out = tmp_path / name
+        config.write_text(
+            json.dumps(
+                {
+                    "scenario": "hashing-curve",
+                    "grid": {"lo": 0.2, "hi": 0.3, "steps": 5},
+                    "output": str(out),
+                    "format": "csv",
+                    **legacy,
+                }
+            )
+        )
+        assert main(["scan", str(config)]) == 0
+        csv_text.append(read(out / "hashing-curve.csv"))
+    assert csv_text[0] == csv_text[1]
 
 
 def test_cli_tol_override_runs(tmp_path, monkeypatch):
@@ -262,6 +295,12 @@ def test_cli_tol_rejects_unknown_name(tmp_path):
                 "bogus=1",
             ]
         )
+
+
+def test_all_exports_resolve():
+    import cohpert
+
+    assert [name for name in cohpert.__all__ if not hasattr(cohpert, name)] == []
 
 
 def test_csv_floats_use_17_significant_digits(tmp_path):
