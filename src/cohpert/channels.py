@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import CPTPError, DimensionError
 from .linalg import DensityMatrix, _frozen
-from .tolerances import TRACE_TOL, resolve
+from .tolerances import CPTP_TOL, DEFAULT, Tolerances
 
 DEFAULT_DIM_CAP = 256
 
@@ -91,15 +91,13 @@ class QuantumChannel:
 
 def make_channel(
     kraus: Sequence[np.ndarray],
-    cptp_tol: float | None = None,
     spec: ChannelSpec | None = None,
 ) -> QuantumChannel:
     """Validate a Kraus set and wrap it as a channel.
 
     All operators must share one (dim_out, dim_in) shape and satisfy
-    trace preservation ``sum_k K_k^dag K_k = 1`` within ``cptp_tol``.
+    trace preservation ``sum_k K_k^dag K_k = 1`` within ``CPTP_TOL``.
     """
-    cptp_tol = resolve(cptp_tol, "CPTP_TOL")
     ops = [np.asarray(K, dtype=complex) for K in kraus]
     if not ops:
         raise ValueError("a channel needs at least one Kraus operator")
@@ -117,9 +115,9 @@ def make_channel(
         spec=spec,
     )
     residual = ch.cptp_residual()
-    if residual > cptp_tol:
+    if residual > CPTP_TOL:
         raise CPTPError(
-            f"Kraus set is not trace preserving: residual {residual:.3e} > {cptp_tol:.1e}"
+            f"Kraus set is not trace preserving: residual {residual:.3e} > {CPTP_TOL:.1e}"
         )
     return ch
 
@@ -135,16 +133,9 @@ def apply_matrix(ch: QuantumChannel, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply(
-    ch: QuantumChannel,
-    rho: DensityMatrix,
-    trace_tol: float = TRACE_TOL,
-    psd_tol: float | None = None,
-) -> DensityMatrix:
+def apply(ch: QuantumChannel, rho: DensityMatrix, tol: Tolerances = DEFAULT) -> DensityMatrix:
     """Apply the channel to a state; the output is validated as a state."""
-    return DensityMatrix.from_matrix(
-        apply_matrix(ch, rho.matrix), trace_tol=trace_tol, psd_tol=psd_tol
-    )
+    return DensityMatrix.from_matrix(apply_matrix(ch, rho.matrix), tol)
 
 
 def complement(ch: QuantumChannel) -> QuantumChannel:
@@ -314,26 +305,33 @@ def matrix_to_pairs(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _param(spec: ChannelSpec, name: str) -> object:
+    try:
+        return spec.params[name]
+    except KeyError:
+        raise ValueError(f"channel family {spec.family!r} needs parameter {name!r}") from None
+
+
 def builtin(spec: ChannelSpec) -> QuantumChannel:
     """Construct a channel from its serializable description."""
     family = spec.family
     params = spec.params
     if family == "depolarizing":
-        return depolarizing_channel(params["p"])
+        return depolarizing_channel(_param(spec, "p"))
     if family == "pauli":
-        return pauli_channel(params["probs"])
+        return pauli_channel(_param(spec, "probs"))
     if family == "amplitude_damping":
-        return amplitude_damping_channel(params["gamma"])
+        return amplitude_damping_channel(_param(spec, "gamma"))
     if family == "platypus":
-        return platypus_channel(params["s"])
+        return platypus_channel(_param(spec, "s"))
     if family == "dephrasure":
-        return dephrasure_channel(params["p"], params["q"])
+        return dephrasure_channel(_param(spec, "p"), _param(spec, "q"))
     if family == "erasure":
-        return erasure_channel(params["q"], int(params.get("dim", 2)))
+        return erasure_channel(_param(spec, "q"), int(params.get("dim", 2)))
     if family == "identity":
         return identity_channel(int(params.get("dim", 2)))
     if family == "custom_kraus":
-        kraus = [matrix_from_pairs(k) for k in params["kraus"]]
+        kraus = [matrix_from_pairs(k) for k in _param(spec, "kraus")]
         return make_channel(kraus, spec=spec)
     if family == "tensor":
         if len(spec.children) < 2:

@@ -12,11 +12,11 @@ the scientific verdicts in the emitted reports.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
 
-from . import tolerances
 from .scenarios import (
     CSV_SCHEMAS,
     SCENARIOS,
@@ -25,6 +25,7 @@ from .scenarios import (
     run_custom,
     run_scenario,
 )
+from .tolerances import DEFAULT, Tolerances
 
 _SCHEMA_HELP = "CSV column schemas:\n" + "\n".join(
     f"  {name}: {schema}" for name, schema in sorted(CSV_SCHEMAS.items())
@@ -97,48 +98,29 @@ def _load_json(path: str) -> dict:
         raise SystemExit(f"invalid JSON in {path} (line {exc.lineno}, column {exc.colno}): {exc.msg}")
 
 
-_TUNABLE_TOLERANCES = (
-    "KERNEL_TOL",
-    "DECISION_TOL",
-    "FIRST_ORDER_TOL",
-    "NUMERIC_MARGIN",
-    "PSD_TOL",
-    "CPTP_TOL",
-)
-
-
-def _apply_tolerance_overrides(pairs: Sequence[str]) -> dict[str, float]:
-    """Set the named tolerances and return the values they replace."""
-    overrides = {}
-    for key, value in _parse_kv(pairs).items():
-        name = key.upper()
-        if name not in _TUNABLE_TOLERANCES:
-            raise SystemExit(
-                f"unknown tolerance {key!r}; tunable: "
-                + ", ".join(t.lower() for t in _TUNABLE_TOLERANCES)
-            )
-        overrides[name] = value
-    previous = {name: getattr(tolerances, name) for name in overrides}
-    for name, value in overrides.items():
-        setattr(tolerances, name, value)
-    return previous
+def _tolerances(pairs: Sequence[str]) -> Tolerances:
+    """The default tolerances with the ``--tol`` overrides applied."""
+    names = [f.name for f in dataclasses.fields(Tolerances)]
+    overrides = {key.lower(): value for key, value in _parse_kv(pairs).items()}
+    for key in overrides:
+        if key not in names:
+            raise SystemExit(f"unknown tolerance {key!r}; tunable: " + ", ".join(names))
+    return dataclasses.replace(DEFAULT, **overrides)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    # --tol overrides hold for this call only
-    previous: dict[str, float] = {}
     try:
         if args.command == "scenario":
-            previous = _apply_tolerance_overrides(args.tol)
             cfg = ScenarioConfig(
                 scenario=args.name,
                 params=_parse_kv(args.param),
                 grid=args.grid,
                 output=args.out,
                 fmt=args.format,
+                tol=_tolerances(args.tol),
             )
             summary = run_scenario(cfg)
             for key in ("csv", "json"):
@@ -168,9 +150,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        for name, value in previous.items():
-            setattr(tolerances, name, value)
     return 0
 
 

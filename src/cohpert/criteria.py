@@ -30,7 +30,7 @@ from .perturbation import (
     state_at,
     state_stacks,
 )
-from .tolerances import resolve
+from .tolerances import DEFAULT, Tolerances
 
 SENSES = ("positive_f", "negative_f")
 
@@ -146,8 +146,7 @@ def check_criterion1(
     ch: QuantumChannel,
     fam: PerturbationFamily,
     sense: str = "positive_f",
-    kernel_tol: float | None = None,
-    decision_tol: float | None = None,
+    tol: Tolerances = DEFAULT,
 ) -> CriterionReport:
     """First-order kernel-splitting test.
 
@@ -156,12 +155,12 @@ def check_criterion1(
     winning output side makes the first derivative of ``f`` diverge with the
     requested sign.
     """
-    return _criterion1(FamilyEvaluator(ch, fam, kernel_tol), sense, decision_tol)
+    return _criterion1(FamilyEvaluator(ch, fam, tol), sense)
 
 
-def _criterion1(ev: FamilyEvaluator, sense: str, decision_tol: float | None = None) -> CriterionReport:
+def _criterion1(ev: FamilyEvaluator, sense: str) -> CriterionReport:
     _check_sense(sense)
-    decision_tol = resolve(decision_tol, "DECISION_TOL")
+    decision_tol = ev.tol.decision_tol
     if ev.out.full and ev.env.full:
         return CriterionReport("C1", sense, "inapplicable", 0.0, 0.0, 0.0)
     lhs, rhs = _sense_adjust(ev.out.kernel_trace(), ev.env.kernel_trace(), sense)
@@ -177,9 +176,7 @@ def check_criterion2(
     ch: QuantumChannel,
     fam: PerturbationFamily,
     sense: str = "positive_f",
-    kernel_tol: float | None = None,
-    first_order_tol: float | None = None,
-    decision_tol: float | None = None,
+    tol: Tolerances = DEFAULT,
 ) -> CriterionReport:
     """Second-order kernel-splitting test.
 
@@ -188,20 +185,12 @@ def check_criterion2(
     second-order kernel terms (``w0_trace``; a full-rank side contributes
     zero).
     """
-    return _criterion2(
-        FamilyEvaluator(ch, fam, kernel_tol), sense, first_order_tol, decision_tol
-    )
+    return _criterion2(FamilyEvaluator(ch, fam, tol), sense)
 
 
-def _criterion2(
-    ev: FamilyEvaluator,
-    sense: str,
-    first_order_tol: float | None = None,
-    decision_tol: float | None = None,
-) -> CriterionReport:
+def _criterion2(ev: FamilyEvaluator, sense: str) -> CriterionReport:
     _check_sense(sense)
-    first_order_tol = resolve(first_order_tol, "FIRST_ORDER_TOL")
-    decision_tol = resolve(decision_tol, "DECISION_TOL")
+    first_order_tol, decision_tol = ev.tol.first_order_tol, ev.tol.decision_tol
     if ev.out.full and ev.env.full:
         return CriterionReport("C2", sense, "inapplicable", 0.0, 0.0, 0.0)
 
@@ -235,9 +224,7 @@ def check_criterion3(
     ch: QuantumChannel,
     fam: PerturbationFamily,
     sense: str = "positive_f",
-    kernel_tol: float | None = None,
-    first_order_tol: float | None = None,
-    decision_tol: float | None = None,
+    tol: Tolerances = DEFAULT,
 ) -> CriterionReport:
     """Second-order test for the case where both outputs are full rank.
 
@@ -249,20 +236,12 @@ def check_criterion3(
     ``tr(W)`` comparison and the report is labeled ``C3``; otherwise it is
     labeled ``THM2_FULL2``.
     """
-    return _criterion3(
-        FamilyEvaluator(ch, fam, kernel_tol), sense, first_order_tol, decision_tol
-    )
+    return _criterion3(FamilyEvaluator(ch, fam, tol), sense)
 
 
-def _criterion3(
-    ev: FamilyEvaluator,
-    sense: str,
-    first_order_tol: float | None = None,
-    decision_tol: float | None = None,
-) -> CriterionReport:
+def _criterion3(ev: FamilyEvaluator, sense: str) -> CriterionReport:
     _check_sense(sense)
-    first_order_tol = resolve(first_order_tol, "FIRST_ORDER_TOL")
-    decision_tol = resolve(decision_tol, "DECISION_TOL")
+    first_order_tol, decision_tol = ev.tol.first_order_tol, ev.tol.decision_tol
     out, env = ev.out, ev.env
     if not (out.full and env.full):
         return CriterionReport("C3", sense, "inapplicable", 0.0, 0.0, 0.0)
@@ -299,8 +278,7 @@ def _criterion3(
 def classify_first_order(
     ch: QuantumChannel,
     fam: PerturbationFamily,
-    kernel_tol: float | None = None,
-    decision_tol: float | None = None,
+    tol: Tolerances = DEFAULT,
 ) -> CriterionReport:
     """Full-rank first-derivative test: fires when ``f'(0) > 0``.
 
@@ -310,14 +288,13 @@ def classify_first_order(
     never fire: the first derivative is non-positive for every traceless
     direction.
     """
-    decision_tol = resolve(decision_tol, "DECISION_TOL")
-    ev = FamilyEvaluator(ch, fam, kernel_tol)
+    ev = FamilyEvaluator(ch, fam, tol)
     if not (ev.out.full and ev.env.full):
         raise RankCaseError("first-order classification needs both outputs full rank")
     t1_out = ev.out.log_trace(ev.out.a1)
     t1_env = ev.env.log_trace(ev.env.a1)
     margin = t1_env - t1_out
-    verdict = "fires" if margin > decision_tol else "fails"
+    verdict = "fires" if margin > tol.decision_tol else "fails"
     return CriterionReport("THM1_FULLRANK", "positive_f", verdict, t1_env, t1_out, margin)
 
 
@@ -368,8 +345,7 @@ def detect_superadditivity(
     optimal_states: Sequence[DensityMatrix],
     fam: PerturbationFamily,
     eps_grid: Sequence[float] | None = None,
-    numeric_margin: float | None = None,
-    kernel_tol: float | None = None,
+    tol: Tolerances = DEFAULT,
 ) -> DetectorReport:
     """Detect strict superadditivity of one-shot quantum capacity.
 
@@ -377,11 +353,10 @@ def detect_superadditivity(
     ``channels[i]``; the family must perturb their tensor product.  The
     criteria run in precedence order C1 -> C2 -> C3 in the positive sense;
     a firing criterion alone is not enough, a grid point with
-    ``f(eps) > numeric_margin`` bits must confirm it.  On success the
+    ``f(eps) > tol.numeric_margin`` bits must confirm it.  On success the
     one-shot capacity of the joint channel strictly exceeds the sum of the
     single-channel coherent informations at the asserted optimal states.
     """
-    numeric_margin = resolve(numeric_margin, "NUMERIC_MARGIN")
     if len(channels) < 2 or len(channels) != len(optimal_states):
         raise ValueError("need at least two channels with one asserted optimal state each")
     product = optimal_states[0].matrix
@@ -389,18 +364,18 @@ def detect_superadditivity(
         product = np.kron(product, state.matrix)
     if np.linalg.norm(product - fam.base.matrix) > 1e-10:
         raise ValueError("family base state is not the tensor product of the optimal states")
-    ev = FamilyEvaluator(tensor_all(list(channels)), fam, kernel_tol)
+    ev = FamilyEvaluator(tensor_all(list(channels)), fam, tol)
 
     report = _run_criteria(ev, "positive_f")
 
     if eps_grid is None:
-        eps_grid = default_witness_grid(admissible_radius(fam))
+        eps_grid = default_witness_grid(admissible_radius(fam, tol))
     witness = None
     notes: list[str] = []
     if eps_grid:
         values = list(zip(eps_grid, map(float, ev.f_values(eps_grid))))
         best = max(values, key=lambda t: t[1])
-        if best[1] > numeric_margin:
+        if best[1] > tol.numeric_margin:
             witness = best
     else:
         notes.append("family admits no positive radius; no witness grid")
@@ -412,7 +387,7 @@ def detect_superadditivity(
                 ev.coherent_information([witness[0]])[0]
             ),
             "sum_of_single_channel_coherent_information": sum(
-                coherent_information(state, ch).value
+                coherent_information(state, ch, tol).value
                 for ch, state in zip(channels, optimal_states)
             ),
         }
@@ -441,7 +416,7 @@ def detect_superadditivity(
 def _largest_admissible_r(
     sigma: DensityMatrix,
     states: np.ndarray,
-    psd_tol: float | None = None,
+    tol: Tolerances,
     r_tol: float = 1e-6,
 ) -> float:
     """Largest ``r`` in (0, 1] with ``sigma - r * state`` PSD for every state
@@ -449,10 +424,8 @@ def _largest_admissible_r(
     Each state's predicate is monotone in ``r``, so this is exactly the least
     of the per-state bisections."""
 
-    psd_tol = resolve(psd_tol, "PSD_TOL")
-
     def ok(r: float) -> bool:
-        return bool(np.all(np.linalg.eigvalsh(sigma.matrix - r * states)[:, 0] >= -psd_tol))
+        return bool(np.all(np.linalg.eigvalsh(sigma.matrix - r * states)[:, 0] >= -tol.psd_tol))
 
     if ok(1.0):
         return 1.0
@@ -471,9 +444,7 @@ def detect_private_gap(
     sigma: DensityMatrix,
     fam: PerturbationFamily,
     eps_grid: Sequence[float] | None = None,
-    numeric_margin: float | None = None,
-    kernel_tol: float | None = None,
-    psd_tol: float | None = None,
+    tol: Tolerances = DEFAULT,
     r_tol: float = 1e-6,
 ) -> DetectorReport:
     """Detect a positive gap between one-shot private and quantum capacity.
@@ -482,35 +453,33 @@ def detect_private_gap(
     channel; the family base must be pure.  The detector needs three pieces:
     a positive ``r`` with ``sigma - r * rho(eps)`` PSD across the witness
     grid, a negative-sense criterion firing, and a grid point with
-    ``f(eps) < -numeric_margin`` bits.  A detected gap also implies the
+    ``f(eps) < -tol.numeric_margin`` bits.  A detected gap also implies the
     complementary channel has positive private capacity.
     """
-    numeric_margin = resolve(numeric_margin, "NUMERIC_MARGIN")
-    psd_tol = resolve(psd_tol, "PSD_TOL")
     top = float(np.linalg.eigvalsh(fam.base.matrix)[-1])
-    if abs(top - 1.0) > psd_tol:
+    if abs(top - 1.0) > tol.psd_tol:
         raise ValueError(f"family base must be pure; largest eigenvalue is {top!r}")
 
     if eps_grid is None:
-        radius = admissible_radius(fam)
+        radius = admissible_radius(fam, tol)
         eps_grid = default_witness_grid(min(radius, 0.25), lo=1e-8, points=40)
 
     notes: list[str] = []
     r_bar: float | None = None
     if eps_grid:
         r_bar = min(
-            _largest_admissible_r(sigma, stack, psd_tol, r_tol)
-            for stack in state_stacks(fam, eps_grid)
+            _largest_admissible_r(sigma, stack, tol, r_tol)
+            for stack in state_stacks(fam, eps_grid, tol)
         )
 
-    ev = FamilyEvaluator(ch, fam, kernel_tol)
+    ev = FamilyEvaluator(ch, fam, tol)
     report = _run_criteria(ev, "negative_f")
 
     witness = None
     if eps_grid:
         values = list(zip(eps_grid, map(float, ev.f_values(eps_grid))))
         best = min(values, key=lambda t: t[1])
-        if best[1] < -numeric_margin:
+        if best[1] < -tol.numeric_margin:
             witness = best
     else:
         notes.append("family admits no positive radius; no witness grid")
@@ -542,6 +511,7 @@ def complement_line_witness(
     ch: QuantumChannel,
     bases: Sequence[str] = ("z", "x"),
     param_tol: float = 1e-8,
+    tol: Tolerances = DEFAULT,
 ) -> tuple[DensityMatrix, float, str]:
     """Best diagonal-line input for coherent information of the complement.
 
@@ -554,19 +524,18 @@ def complement_line_witness(
     lines = []
     for basis in bases:
         fam = basis_line(ch.dim_in, basis)
-        ev = FamilyEvaluator(comp, fam)
+        ev = FamilyEvaluator(comp, fam, tol)
         lines.append((*section_maximize(ev.coherent_information, 0.0, 1.0, param_tol), fam, basis))
     # the first basis wins ties
     u_star, value, fam, basis = max(lines, key=lambda line: line[1])
-    return state_at(fam, u_star), value, basis
+    return state_at(fam, u_star, tol), value, basis
 
 
 def detect_private_gap_via_complement(
     ch: QuantumChannel,
     sigma: DensityMatrix,
     bases: Sequence[str] = ("z", "x"),
-    numeric_margin: float | None = None,
-    psd_tol: float | None = None,
+    tol: Tolerances = DEFAULT,
     r_tol: float = 1e-6,
 ) -> DetectorReport:
     """Shortcut gap detector through the complementary channel.
@@ -576,12 +545,11 @@ def detect_private_gap_via_complement(
     one-shot private capacity strictly exceeds the one-shot quantum
     capacity, with ``sigma`` caller-asserted optimal.
     """
-    numeric_margin = resolve(numeric_margin, "NUMERIC_MARGIN")
-    state, value, basis = complement_line_witness(ch, bases)
-    r_bar = _largest_admissible_r(sigma, state.matrix[None], psd_tol, r_tol)
+    state, value, basis = complement_line_witness(ch, bases, tol=tol)
+    r_bar = _largest_admissible_r(sigma, state.matrix[None], tol, r_tol)
 
     # the decisive quantity doubles as a degenerate criterion report
-    verdict = "fires" if value > numeric_margin else "fails"
+    verdict = "fires" if value > tol.numeric_margin else "fails"
     report = CriterionReport(
         criterion="COMPLEMENT_IC",
         sense="negative_f",
@@ -622,13 +590,14 @@ def criterion_margin(
     fam: PerturbationFamily,
     criterion: str,
     sense: str = "positive_f",
+    tol: Tolerances = DEFAULT,
 ) -> float:
     """Margin of one named criterion for scan and root-finding use."""
     try:
         check = _CRITERION_BY_NAME[criterion]
     except KeyError:
         raise ValueError(f"unknown criterion {criterion!r}; expected one of C1, C2, C3") from None
-    return check(ch, fam, sense).margin
+    return check(ch, fam, sense, tol).margin
 
 
 def threshold_scan(
@@ -639,6 +608,7 @@ def threshold_scan(
     lo: float,
     hi: float,
     param_tol: float = 1e-4,
+    tol: Tolerances = DEFAULT,
 ) -> float:
     """Bisect a channel parameter for the zero of a criterion margin.
 
@@ -650,13 +620,13 @@ def threshold_scan(
     if criterion == "hashing":
         def margin(p: float) -> float:
             ch = channel_builder(p)
-            return coherent_information(DensityMatrix.maximally_mixed(ch.dim_in), ch).value
+            return coherent_information(DensityMatrix.maximally_mixed(ch.dim_in), ch, tol).value
     else:
         if family_builder is None:
             raise ValueError(f"criterion {criterion!r} needs a family builder")
 
         def margin(p: float) -> float:
-            return criterion_margin(channel_builder(p), family_builder(p), criterion, sense)
+            return criterion_margin(channel_builder(p), family_builder(p), criterion, sense, tol)
 
     f_lo, f_hi = margin(lo), margin(hi)
     if f_lo == 0.0:

@@ -14,7 +14,7 @@ import numpy as np
 from .channels import QuantumChannel, apply, apply_matrix, complement
 from .errors import DimensionError, PositivityError
 from .linalg import DensityMatrix
-from .tolerances import resolve
+from .tolerances import DEFAULT, Tolerances
 
 FLAG_NEAR_KERNEL = "near_kernel_eigenvalue"
 FLAG_CLAMPED = "negative_eigenvalue_clamped"
@@ -65,45 +65,36 @@ def _entropy_bits(eigenvalues: np.ndarray, kernel_tol: float) -> np.ndarray:
     return -(kept * np.log2(kept)).sum(axis=-1)
 
 
-def _spectrum_entropy(raw: np.ndarray, kernel_tol: float | None, psd_tol: float | None) -> InfoValue:
+def _spectrum_entropy(raw: np.ndarray, tol: Tolerances) -> InfoValue:
     """:func:`von_neumann_entropy` of a state with ascending eigenvalues ``raw``."""
-    kernel_tol = resolve(kernel_tol, "KERNEL_TOL")
-    psd_tol = resolve(psd_tol, "PSD_TOL")
-    if raw[0] < -psd_tol:
-        raise PositivityError(f"eigenvalue {raw[0]:.3e} below -{psd_tol:.1e}")
+    if raw[0] < -tol.psd_tol:
+        raise PositivityError(f"eigenvalue {raw[0]:.3e} below -{tol.psd_tol:.1e}")
     flags: set[str] = set()
     if raw[0] < 0.0:
         flags.add(FLAG_CLAMPED)
     clipped = np.clip(raw, 0.0, None)
-    if np.any((clipped > 0.0) & (clipped <= kernel_tol)):
+    if np.any((clipped > 0.0) & (clipped <= tol.kernel_tol)):
         flags.add(FLAG_NEAR_KERNEL)
-    return InfoValue(float(_entropy_bits(clipped, kernel_tol)), frozenset(flags))
+    return InfoValue(float(_entropy_bits(clipped, tol.kernel_tol)), frozenset(flags))
 
 
-def von_neumann_entropy(
-    rho: DensityMatrix,
-    kernel_tol: float | None = None,
-    psd_tol: float | None = None,
-) -> InfoValue:
+def von_neumann_entropy(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> InfoValue:
     """Entropy ``-sum_i w_i log2 w_i`` with the continuous ``0 log 0 = 0`` rule.
 
-    Eigenvalues in ``[-psd_tol, 0)`` are clamped to zero (flagged);
-    eigenvalues in ``(0, kernel_tol]`` contribute zero (flagged).
+    Eigenvalues in ``[-tol.psd_tol, 0)`` are clamped to zero (flagged);
+    eigenvalues in ``(0, tol.kernel_tol]`` contribute zero (flagged).
     """
-    return _spectrum_entropy(np.linalg.eigvalsh(rho.matrix), kernel_tol, psd_tol)
+    return _spectrum_entropy(np.linalg.eigvalsh(rho.matrix), tol)
 
 
 def coherent_information(
-    rho: DensityMatrix,
-    ch: QuantumChannel,
-    kernel_tol: float | None = None,
-    psd_tol: float | None = None,
+    rho: DensityMatrix, ch: QuantumChannel, tol: Tolerances = DEFAULT
 ) -> InfoValue:
     """``S(N(rho)) - S(Nc(rho))`` in bits, with ``Nc`` the canonical complement.
     Each image's entropy comes from the spectrum that its validation computes."""
     out, env = (
         _spectrum_entropy(
-            DensityMatrix.with_spectrum(apply_matrix(side, rho.matrix))[1], kernel_tol, psd_tol
+            DensityMatrix.with_spectrum(apply_matrix(side, rho.matrix), tol)[1], tol
         )
         for side in (ch, complement(ch))
     )

@@ -16,12 +16,13 @@ import numpy as np
 
 from .errors import DimensionError, HermiticityError, PositivityError
 from .tolerances import (
+    DEFAULT,
     HERM_TOL,
     PROJ_TOL,
     RECON_TOL,
     TRACE_TOL,
+    Tolerances,
     default_cluster_tol,
-    resolve,
 )
 
 MatrixLike = Union[np.ndarray, Sequence[Sequence[complex]]]
@@ -39,7 +40,7 @@ class HermitianOperator:
 
     Use :meth:`from_matrix` to build one from raw data: the constructor
     symmetrizes ``(M + M^dag)/2`` and rejects inputs whose anti-Hermitian
-    part exceeds ``herm_tol`` relative to the Frobenius norm.
+    part exceeds ``HERM_TOL`` relative to the Frobenius norm.
     """
 
     matrix: np.ndarray
@@ -49,17 +50,17 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_matrix(cls, matrix: MatrixLike, herm_tol: float = HERM_TOL) -> "HermitianOperator":
+    def from_matrix(cls, matrix: MatrixLike) -> "HermitianOperator":
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DimensionError(f"expected a square matrix, got shape {m.shape}")
         sym = (m + m.conj().T) / 2.0
         residual = np.linalg.norm(m - sym)
         scale = max(1.0, np.linalg.norm(sym))
-        if residual > herm_tol * scale:
+        if residual > HERM_TOL * scale:
             raise HermiticityError(
                 f"matrix is not Hermitian: residual {residual:.3e} exceeds "
-                f"{herm_tol:.1e} * |H|_F"
+                f"{HERM_TOL:.1e} * |H|_F"
             )
         return cls(_frozen(sym))
 
@@ -78,9 +79,9 @@ class HermitianOperator:
 class DensityMatrix:
     """A Hermitian operator certified to be a quantum state.
 
-    Trace must equal 1 within ``trace_tol`` and the minimum eigenvalue must
-    not fall below ``-psd_tol``.  Negative round-off eigenvalues are kept in
-    the matrix and clamped to zero only on spectral read-out.
+    Trace must equal 1 within ``TRACE_TOL`` and the minimum eigenvalue must
+    not fall below ``-tol.psd_tol``.  Negative round-off eigenvalues are
+    kept in the matrix and clamped to zero only on spectral read-out.
     """
 
     op: HermitianOperator
@@ -94,34 +95,23 @@ class DensityMatrix:
         return self.op.dim
 
     @classmethod
-    def from_matrix(
-        cls,
-        matrix: MatrixLike,
-        herm_tol: float = HERM_TOL,
-        trace_tol: float = TRACE_TOL,
-        psd_tol: float | None = None,
-    ) -> "DensityMatrix":
-        return cls.with_spectrum(matrix, herm_tol, trace_tol, psd_tol)[0]
+    def from_matrix(cls, matrix: MatrixLike, tol: Tolerances = DEFAULT) -> "DensityMatrix":
+        return cls.with_spectrum(matrix, tol)[0]
 
     @classmethod
     def with_spectrum(
-        cls,
-        matrix: MatrixLike,
-        herm_tol: float = HERM_TOL,
-        trace_tol: float = TRACE_TOL,
-        psd_tol: float | None = None,
+        cls, matrix: MatrixLike, tol: Tolerances = DEFAULT
     ) -> tuple["DensityMatrix", np.ndarray]:
         """:meth:`from_matrix`, also returning the ascending eigenvalues that
         its positivity check computes."""
-        psd_tol = resolve(psd_tol, "PSD_TOL")
-        op = HermitianOperator.from_matrix(matrix, herm_tol=herm_tol)
+        op = HermitianOperator.from_matrix(matrix)
         tr = op.trace()
-        if abs(tr - 1.0) > trace_tol:
-            raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond {trace_tol:.1e}")
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond {TRACE_TOL:.1e}")
         w = np.linalg.eigvalsh(op.matrix)
-        if w[0] < -psd_tol:
+        if w[0] < -tol.psd_tol:
             raise PositivityError(
-                f"density matrix has eigenvalue {float(w[0]):.3e} below -{psd_tol:.1e}"
+                f"density matrix has eigenvalue {float(w[0]):.3e} below -{tol.psd_tol:.1e}"
             )
         return cls(op), w
 
@@ -169,12 +159,12 @@ class SpectralDecomposition:
     def column_values(self) -> np.ndarray:
         return np.repeat(self.eigenvalues, self.multiplicities)
 
-    def kernel_columns(self, kernel_tol: float | None = None) -> np.ndarray:
+    def kernel_columns(self, tol: Tolerances = DEFAULT) -> np.ndarray:
         """Mask of the columns of ``vectors`` that span the kernel."""
-        return np.abs(self.column_values) <= resolve(kernel_tol, "KERNEL_TOL")
+        return np.abs(self.column_values) <= tol.kernel_tol
 
-    def is_full_rank(self, kernel_tol: float | None = None) -> bool:
-        return not self.kernel_columns(kernel_tol).any()
+    def is_full_rank(self, tol: Tolerances = DEFAULT) -> bool:
+        return not self.kernel_columns(tol).any()
 
     def in_eigenbasis(self, b: np.ndarray) -> np.ndarray:
         """``V^dag b V``, with ``V`` the matrix of ``vectors``."""
@@ -195,8 +185,6 @@ def _as_matrix(H: Union[HermitianOperator, DensityMatrix, MatrixLike]) -> np.nda
 def spectral_decompose(
     H: Union[HermitianOperator, DensityMatrix, MatrixLike],
     cluster_tol: float | None = None,
-    proj_tol: float = PROJ_TOL,
-    recon_tol: float = RECON_TOL,
 ) -> SpectralDecomposition:
     """Eigendecompose ``H`` and merge near-degenerate eigenvalues.
 
@@ -206,7 +194,7 @@ def spectral_decompose(
     merged raw eigenvalues.  Clusters are returned in descending order.
 
     Raises if the eigensolver fails or the spectral data does not
-    reconstruct ``H`` within ``recon_tol`` (relative to its norm).
+    reconstruct ``H`` within ``RECON_TOL`` (relative to its norm).
     """
     m = _as_matrix(H)
     dim = m.shape[0]
@@ -234,43 +222,41 @@ def spectral_decompose(
     )
 
     vectors = decomp.vectors
-    if np.linalg.norm(vectors.conj().T @ vectors - np.eye(dim)) > proj_tol:
+    if np.linalg.norm(vectors.conj().T @ vectors - np.eye(dim)) > PROJ_TOL:
         raise ValueError("spectral projectors do not sum to the identity")
     # merged clusters legitimately shift eigenvalues by up to their spread
-    allowed = recon_tol * max(1.0, norm) + float(np.abs(w - means[cluster]).max()) * np.sqrt(dim)
+    allowed = RECON_TOL * max(1.0, norm) + float(np.abs(w - means[cluster]).max()) * np.sqrt(dim)
     if np.linalg.norm(decomp.reconstruct() - m) > allowed:
         raise ValueError("spectral data does not reconstruct the operator")
     return decomp
 
 
-def state_spectra(stack: np.ndarray) -> np.ndarray:
+def state_spectra(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Ascending eigenvalues of each matrix in a stack, in one ``eigvalsh`` call.
 
-    Each matrix is checked as :meth:`DensityMatrix.from_matrix` checks one
-    at its default tolerances, with the same exceptions: its anti-Hermitian
-    part must stay within ``HERM_TOL`` of its Frobenius norm, its trace
-    within ``TRACE_TOL`` of 1 and its smallest eigenvalue at least
-    ``-PSD_TOL``.  The eigenvalues are those of the Hermitian parts.
-    ``DensityMatrix.from_matrix`` keeps its own single-matrix checks, which
-    cost less per call on small states.
+    Each matrix is checked as :meth:`DensityMatrix.from_matrix` checks one,
+    with the same exceptions: its anti-Hermitian part must stay within
+    ``HERM_TOL`` of its Frobenius norm, its trace within ``TRACE_TOL`` of 1
+    and its smallest eigenvalue at least ``-tol.psd_tol``.  The eigenvalues
+    are those of the Hermitian parts.  ``DensityMatrix.from_matrix`` keeps
+    its own single-matrix checks, which cost less per call on small states.
     """
-    herm_tol, trace_tol, psd_tol = HERM_TOL, TRACE_TOL, resolve(None, "PSD_TOL")
     sym = (stack + np.conj(np.swapaxes(stack, -1, -2))) / 2.0
     residual = np.linalg.norm(stack - sym, axis=(-2, -1))
     scale = np.maximum(1.0, np.linalg.norm(sym, axis=(-2, -1)))
-    if np.any(residual > herm_tol * scale):
+    if np.any(residual > HERM_TOL * scale):
         worst = float(np.max(residual / scale))
         raise HermiticityError(
-            f"matrix is not Hermitian: residual {worst:.3e} exceeds {herm_tol:.1e} * |H|_F"
+            f"matrix is not Hermitian: residual {worst:.3e} exceeds {HERM_TOL:.1e} * |H|_F"
         )
     traces = np.trace(sym, axis1=-2, axis2=-1).real
-    off = np.abs(traces - 1.0) > trace_tol
+    off = np.abs(traces - 1.0) > TRACE_TOL
     if np.any(off):
         tr = float(traces[off][0])
-        raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond {trace_tol:.1e}")
+        raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond {TRACE_TOL:.1e}")
     w = np.linalg.eigvalsh(sym)
-    if np.any(w[..., 0] < -psd_tol):
+    if np.any(w[..., 0] < -tol.psd_tol):
         raise PositivityError(
-            f"density matrix has eigenvalue {float(w[..., 0].min()):.3e} below -{psd_tol:.1e}"
+            f"density matrix has eigenvalue {float(w[..., 0].min()):.3e} below -{tol.psd_tol:.1e}"
         )
     return w

@@ -34,7 +34,7 @@ from .linalg import (
     spectral_decompose,
     state_spectra,
 )
-from .tolerances import resolve
+from .tolerances import DEFAULT, Tolerances
 
 LN2 = float(np.log(2.0))
 
@@ -126,7 +126,7 @@ def _line_stacks(
 
 def admissible_radius(
     fam: PerturbationFamily,
-    psd_tol: float | None = None,
+    tol: Tolerances = DEFAULT,
     grid_points: int = 64,
     radius_tol: float = 1e-6,
 ) -> float:
@@ -138,17 +138,15 @@ def admissible_radius(
     when even ``eps = 1e-9`` fails.
     """
 
-    psd_tol = resolve(psd_tol, "PSD_TOL")
-
     def ok(eps: float) -> bool:
-        return float(np.linalg.eigvalsh(fam.matrix_at(eps))[0]) >= -psd_tol
+        return float(np.linalg.eigvalsh(fam.matrix_at(eps))[0]) >= -tol.psd_tol
 
     if not ok(1e-9):
         return 0.0
     grid = np.linspace(0.0, 1.0, grid_points + 1)[1:]
     stacks = _line_stacks(fam.base.matrix, fam.a1.matrix, fam.a2.matrix, grid)
     bad = np.flatnonzero(
-        np.concatenate([np.linalg.eigvalsh(stack)[:, 0] for stack in stacks]) < -psd_tol
+        np.concatenate([np.linalg.eigvalsh(stack)[:, 0] for stack in stacks]) < -tol.psd_tol
     )
     if not bad.size:
         return 1.0
@@ -164,14 +162,16 @@ def admissible_radius(
     return lo
 
 
-def state_at(fam: PerturbationFamily, eps: float) -> DensityMatrix:
+def state_at(fam: PerturbationFamily, eps: float, tol: Tolerances = DEFAULT) -> DensityMatrix:
     """The validated state ``rho(eps)``; raises when ``eps`` leaves the family."""
     if eps < 0.0:
         raise ValueError(f"eps must be non-negative, got {eps!r}")
-    return DensityMatrix.from_matrix(fam.matrix_at(eps))
+    return DensityMatrix.from_matrix(fam.matrix_at(eps), tol)
 
 
-def state_stacks(fam: PerturbationFamily, eps: Sequence[float]) -> list[np.ndarray]:
+def state_stacks(
+    fam: PerturbationFamily, eps: Sequence[float], tol: Tolerances
+) -> list[np.ndarray]:
     """The states ``rho(eps)`` in the stacks of :func:`_line_stacks`, each
     checked as :func:`state_at` checks one, with the same exceptions; the
     matrices equal those of ``state_at``."""
@@ -180,7 +180,7 @@ def state_stacks(fam: PerturbationFamily, eps: Sequence[float]) -> list[np.ndarr
         raise ValueError(f"eps must be non-negative, got {float(eps[eps < 0.0][0])!r}")
     stacks = list(_line_stacks(fam.base.matrix, fam.a1.matrix, fam.a2.matrix, eps))
     for stack in stacks:
-        state_spectra(stack)
+        state_spectra(stack, tol)
     return stacks
 
 
@@ -195,23 +195,23 @@ def _diagonal(decomp: SpectralDecomposition, b: np.ndarray) -> np.ndarray:
 
 
 def log_weighted_trace(decomp: SpectralDecomposition, B: Union[HermitianOperator, np.ndarray],
-                       kernel_tol: float | None = None) -> float:
+                       tol: Tolerances = DEFAULT) -> float:
     """``tr(B ln M) = sum_a ln(lambda_a) (V^dag B V)_aa`` for full-rank ``M``."""
-    if not decomp.is_full_rank(kernel_tol):
+    if not decomp.is_full_rank(tol):
         raise RankCaseError("log trace needs a strictly positive spectrum")
     return float(np.log(decomp.column_values) @ _diagonal(decomp, _as_array(B)))
 
 
-def _support_log_trace(decomp: SpectralDecomposition, b: np.ndarray, kernel_tol: float) -> float:
+def _support_log_trace(decomp: SpectralDecomposition, b: np.ndarray, tol: Tolerances) -> float:
     """Log trace restricted to the strictly positive part of the spectrum."""
-    keep = ~decomp.kernel_columns(kernel_tol)
+    keep = ~decomp.kernel_columns(tol)
     return float(np.log(decomp.column_values[keep]) @ _diagonal(decomp, b)[keep])
 
 
 def w_trace(
     decomp: SpectralDecomposition,
     B: Union[HermitianOperator, np.ndarray],
-    kernel_tol: float | None = None,
+    tol: Tolerances = DEFAULT,
 ) -> float:
     """Second-derivative trace for a strictly full-rank output spectrum.
 
@@ -226,7 +226,7 @@ def w_trace(
     The negative of this trace is the second derivative at 0+ of the
     natural-log output entropy when the second-order direction vanishes.
     """
-    if not decomp.is_full_rank(kernel_tol):
+    if not decomp.is_full_rank(tol):
         raise RankCaseError(
             "w_trace needs all cluster values above kernel_tol; "
             "use w0_trace for rank-deficient outputs"
@@ -244,7 +244,7 @@ def w0_trace(
     decomp: SpectralDecomposition,
     B1: Union[HermitianOperator, np.ndarray],
     B2: Union[HermitianOperator, np.ndarray],
-    kernel_tol: float | None = None,
+    tol: Tolerances = DEFAULT,
 ) -> float:
     """Second-order kernel-splitting trace for a rank-deficient output.
 
@@ -255,7 +255,7 @@ def w0_trace(
     second-order coefficients of the eigenvalues emerging from the kernel.
     ``B1`` and ``B2`` are the channel images of the two directions.
     """
-    ker = decomp.kernel_columns(kernel_tol)
+    ker = decomp.kernel_columns(tol)
     if not ker.any():
         raise RankCaseError("w0_trace needs a kernel cluster; use w_trace for full-rank outputs")
     b1t = decomp.in_eigenbasis(_as_array(B1))[np.ix_(ker, ~ker)]
@@ -288,9 +288,9 @@ class _Side:
     """One channel's images of a family's ``base``, ``A1`` and ``A2``, with the
     spectral decomposition of the base image made on first use."""
 
-    def __init__(self, name: str, ch: QuantumChannel, fam: PerturbationFamily, kernel_tol: float):
+    def __init__(self, name: str, ch: QuantumChannel, fam: PerturbationFamily, tol: Tolerances):
         self.name = name
-        self.kernel_tol = kernel_tol
+        self.tol = tol
         self.state = apply_matrix(ch, fam.base.matrix)
         self.a1 = apply_matrix(ch, fam.a1.matrix)
         self.a2 = apply_matrix(ch, fam.a2.matrix)
@@ -301,7 +301,7 @@ class _Side:
 
     @property
     def full(self) -> bool:
-        return self.dec.is_full_rank(self.kernel_tol)
+        return self.dec.is_full_rank(self.tol)
 
     @cached_property
     def b1(self) -> np.ndarray:
@@ -311,7 +311,7 @@ class _Side:
     @cached_property
     def ker(self) -> np.ndarray:
         """Mask of the eigenbasis columns that span the kernel of the base image."""
-        return self.dec.kernel_columns(self.kernel_tol)
+        return self.dec.kernel_columns(self.tol)
 
     def kernel_trace(self) -> float:
         """``tr(P0 B1)``, the first-order splitting of the kernel."""
@@ -322,23 +322,23 @@ class _Side:
         starts = np.cumsum((0,) + self.dec.multiplicities[:-1])
         return tuple(map(float, np.add.reduceat(np.diagonal(self.b1).real, starts)))
 
-    def kernel_block_psd(self, tol: float = 1e-9) -> bool:
-        """Whether ``P0 B1 P0`` is positive semidefinite within ``tol``; the
+    def kernel_block_psd(self) -> bool:
+        """Whether ``P0 B1 P0`` is positive semidefinite within 1e-9; the
         kernel-splitting analysis assumes it is."""
         block = self.b1[np.ix_(self.ker, self.ker)]
-        return not block.size or float(np.linalg.eigvalsh(block)[0]) >= -tol
+        return not block.size or float(np.linalg.eigvalsh(block)[0]) >= -1e-9
 
     def log_trace(self, b: np.ndarray) -> float:
         """:func:`log_weighted_trace` of ``b`` at the base image."""
-        return log_weighted_trace(self.dec, b, self.kernel_tol)
+        return log_weighted_trace(self.dec, b, self.tol)
 
     def w(self) -> float:
         """:func:`w_trace` of ``B1`` at the base image."""
-        return w_trace(self.dec, self.a1, self.kernel_tol)
+        return w_trace(self.dec, self.a1, self.tol)
 
     def w0(self) -> float:
         """:func:`w0_trace` of ``B1`` and ``B2`` at the base image."""
-        return w0_trace(self.dec, self.a1, self.a2, self.kernel_tol)
+        return w0_trace(self.dec, self.a1, self.a2, self.tol)
 
 
 class FamilyEvaluator:
@@ -350,14 +350,15 @@ class FamilyEvaluator:
     :func:`derivative_profile` and the detectors read their traces from
     here.  ``f(eps)`` over a whole grid follows from linearity,
     ``N(rho(eps)) = N(rho) + eps N(A1) + eps^2 N(A2)``, in one stacked
-    eigensolver call per side and chunk.
+    eigensolver call per side and chunk.  Every rank decision, state check
+    and entropy here uses the tolerances ``tol``.
     """
 
-    def __init__(self, ch: QuantumChannel, fam: PerturbationFamily, kernel_tol: float | None = None):
+    def __init__(self, ch: QuantumChannel, fam: PerturbationFamily, tol: Tolerances = DEFAULT):
         self.family = fam
-        self.kernel_tol = resolve(kernel_tol, "KERNEL_TOL")
-        self.out = _Side("out", ch, fam, self.kernel_tol)
-        self.env = _Side("env", complement(ch), fam, self.kernel_tol)
+        self.tol = tol
+        self.out = _Side("out", ch, fam, tol)
+        self.env = _Side("env", complement(ch), fam, tol)
 
     @property
     def rank_case(self) -> str:
@@ -372,16 +373,16 @@ class FamilyEvaluator:
 
         Makes the checks that :func:`state_at` and
         :func:`~cohpert.info.coherent_information` make at one point, at the
-        same default tolerances and with the same exceptions: ``rho(eps)``
-        and both images must be states, round-off negatives are clamped and
-        eigenvalues up to ``KERNEL_TOL`` count as zero.
+        same tolerances and with the same exceptions: ``rho(eps)`` and both
+        images must be states, round-off negatives are clamped and
+        eigenvalues up to ``tol.kernel_tol`` count as zero.
         """
-        kernel_tol = resolve(None, "KERNEL_TOL")
+        tol = self.tol
         eps = np.asarray(eps, dtype=float)
-        state_stacks(self.family, eps)
+        state_stacks(self.family, eps, tol)
         out, env = (
             np.concatenate([np.empty(0)] + [
-                _entropy_bits(np.clip(state_spectra(stack), 0.0, None), kernel_tol)
+                _entropy_bits(np.clip(state_spectra(stack, tol), 0.0, None), tol.kernel_tol)
                 for stack in _line_stacks(side.state, side.a1, side.a2, eps)
             ])
             for side in (self.out, self.env)
@@ -428,7 +429,7 @@ def section_maximize(
         k = int(np.argmax(values))
         a, b = float(u[max(k - 1, 0)]), float(u[min(k + 1, SECTION_POINTS + 1)])
         # stop before sampling a bracket of width param_tol or less: near a pure
-        # end of a line, finer points reach eigenvalues of order KERNEL_TOL,
+        # end of a line, finer points reach eigenvalues of order kernel_tol,
         # whose cut in the entropy can shift I_c by a few 1e-9 bits
         if b - a <= param_tol:
             return float(u[k]), float(values[k])
@@ -438,6 +439,7 @@ def optimal_line_search(
     ch: QuantumChannel,
     family: str,
     param_tol: float = 1e-8,
+    tol: Tolerances = DEFAULT,
 ) -> tuple[DensityMatrix, InfoValue]:
     """Maximize coherent information along a named one-parameter input line.
 
@@ -452,15 +454,15 @@ def optimal_line_search(
         raise ValueError(f"unknown line family {family!r}; expected one of {LINE_FAMILIES}")
     if family == "fixed_maximally_mixed":
         rho = DensityMatrix.maximally_mixed(ch.dim_in)
-        return rho, coherent_information(rho, ch)
+        return rho, coherent_information(rho, ch, tol)
     dim, kind = (2, "qubit") if family == "ad_diagonal" else (3, "qutrit")
     if ch.dim_in != dim:
         raise DimensionError(f"{family} needs a {kind} input, channel has dim_in={ch.dim_in}")
     fam = basis_line(dim, "z")
-    ev = FamilyEvaluator(ch, fam)
+    ev = FamilyEvaluator(ch, fam, tol)
     u_star, value = section_maximize(ev.coherent_information, 0.0, 1.0, param_tol)
     if value > 0.0:
-        return state_at(fam, u_star), InfoValue(value)
+        return state_at(fam, u_star, tol), InfoValue(value)
     # no interior point beats the pure endpoint u = 0, whose I_c is exactly 0
     return fam.base, InfoValue(0.0, frozenset({FLAG_LINE_MAX_NONPOSITIVE}))
 
@@ -468,9 +470,7 @@ def optimal_line_search(
 def derivative_profile(
     ch: QuantumChannel,
     fam: PerturbationFamily,
-    kernel_tol: float | None = None,
-    first_order_tol: float | None = None,
-    decision_tol: float | None = None,
+    tol: Tolerances = DEFAULT,
 ) -> DerivativeProfile:
     """Classify the rank case and assemble every derivative-controlling trace.
 
@@ -481,9 +481,8 @@ def derivative_profile(
     ``log(eps)`` blow-up of the derivative in question, ``inverse`` for
     ``1/eps``).
     """
-    first_order_tol = resolve(first_order_tol, "FIRST_ORDER_TOL")
-    decision_tol = resolve(decision_tol, "DECISION_TOL")
-    ev = FamilyEvaluator(ch, fam, kernel_tol)
+    first_order_tol, decision_tol = tol.first_order_tol, tol.decision_tol
+    ev = FamilyEvaluator(ch, fam, tol)
     out, env = ev.out, ev.env
     rank_case = ev.rank_case
     cluster_out = out.cluster_traces()
@@ -552,8 +551,8 @@ def derivative_profile(
             # block forces the block itself to zero), so the kernel only
             # splits at second order and the first derivative is finite,
             # driven by the strictly positive part of both spectra
-            t_out = _support_log_trace(out.dec, out.a1, ev.kernel_tol)
-            t_env = _support_log_trace(env.dec, env.a1, ev.kernel_tol)
+            t_out = _support_log_trace(out.dec, out.a1, tol)
+            t_env = _support_log_trace(env.dec, env.a1, tol)
             terms["log_trace_a1_out"] = t_out
             terms["log_trace_a1_env"] = t_env
             fprime0 = (-t_out + t_env) / LN2

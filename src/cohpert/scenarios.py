@@ -47,6 +47,7 @@ from .perturbation import (
     optimal_line_search,
     state_at,
 )
+from .tolerances import DEFAULT, Tolerances
 
 SCENARIOS = (
     "depolarizing-n2",
@@ -82,6 +83,7 @@ class ScenarioConfig:
     output: str = "."
     fmt: str = "both"
     extra: Mapping[str, object] = field(default_factory=dict)
+    tol: Tolerances = DEFAULT
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -103,9 +105,17 @@ class ScenarioConfig:
                 raise ValueError(
                     f"grid must be an object with numeric lo, hi and steps, got {g!r}"
                 ) from exc
+        params = obj.get("params", {}) or {}
+        if not isinstance(params, Mapping):
+            raise ValueError(f"params must be an object of numbers, got {params!r}")
+        for key, value in params.items():
+            try:
+                float(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"param {key!r} must be a number, got {value!r}") from None
         return cls(
             scenario=obj.get("scenario", ""),
-            params=dict(obj.get("params", {}) or {}),
+            params=dict(params),
             grid=grid,
             output=str(obj.get("output", ".")),
             fmt=str(obj.get("format", "both")),
@@ -229,7 +239,7 @@ def _scenario_depolarizing_n2(cfg: ScenarioConfig) -> dict:
     def row(p: float) -> dict:
         ch = depolarizing_channel(p)
         mixed = DensityMatrix.maximally_mixed(2)
-        detector = detect_superadditivity([ch, ch], [mixed, mixed], fam)
+        detector = detect_superadditivity([ch, ch], [mixed, mixed], fam, tol=cfg.tol)
         # with both outputs full rank the detector decides by C3, whose sides
         # are tr(W) plus 2 tr(N(A2) ln N(rho)) = 0, as the tilt has A2 = 0
         report = detector.criterion_report
@@ -242,7 +252,7 @@ def _scenario_depolarizing_n2(cfg: ScenarioConfig) -> dict:
             "trace_w_env": report.lhs,
             "margin": report.margin,
             "verdict": report.verdict,
-            "ic_single": coherent_information(mixed, ch).value,
+            "ic_single": coherent_information(mixed, ch, cfg.tol).value,
             "witness_eps": None if witness is None else witness[0],
             "witness_f": None if witness is None else witness[1],
             "conclusion": detector.conclusion,
@@ -260,6 +270,7 @@ def _scenario_depolarizing_n2(cfg: ScenarioConfig) -> dict:
             "positive_f",
             lo,
             hi,
+            tol=cfg.tol,
         )
 
     threshold, note = _bracket_threshold(margins, refine)
@@ -281,13 +292,15 @@ def _scenario_hashing_curve(cfg: ScenarioConfig) -> dict:
 
     def row(p: float) -> dict:
         mixed = DensityMatrix.maximally_mixed(2)
-        return {"p": p, "ic_bits": coherent_information(mixed, depolarizing_channel(p)).value}
+        return {"p": p, "ic_bits": coherent_information(mixed, depolarizing_channel(p), cfg.tol).value}
 
     rows = [row(v) for v in grid.values()]
     margins = [(r["p"], r["ic_bits"]) for r in rows]
 
     def refine(lo: float, hi: float) -> float:
-        return threshold_scan(depolarizing_channel, None, "hashing", "positive_f", lo, hi)
+        return threshold_scan(
+            depolarizing_channel, None, "hashing", "positive_f", lo, hi, tol=cfg.tol
+        )
 
     threshold, note = _bracket_threshold(margins, refine)
     return {
@@ -309,8 +322,8 @@ def _scenario_gap_depolarizing(cfg: ScenarioConfig) -> dict:
 
     def row(p: float) -> dict:
         ch = depolarizing_channel(p)
-        report = check_criterion1(ch, fam, "negative_f")
-        detector = detect_private_gap(ch, sigma, fam)
+        report = check_criterion1(ch, fam, "negative_f", cfg.tol)
+        detector = detect_private_gap(ch, sigma, fam, tol=cfg.tol)
         witness = detector.numeric_confirmation
         return {
             "p": p,
@@ -345,14 +358,14 @@ def _scenario_platypus_ad(cfg: ScenarioConfig) -> dict:
         damp = amplitude_damping_channel(gamma)
         if "w" in cfg.params:
             w_star = float(cfg.params["w"])
-            state1 = state_at(basis_line(3, "z"), w_star)
+            state1 = state_at(basis_line(3, "z"), w_star, cfg.tol)
         else:
-            state1, _ = optimal_line_search(plat, "platypus_diagonal")
+            state1, _ = optimal_line_search(plat, "platypus_diagonal", tol=cfg.tol)
             w_star = float(state1.matrix[2, 2].real)
         state2 = DensityMatrix.pure([1.0, 0.0])
         fam = platypus_ad_family(w_star, a)
-        report = check_criterion2(tensor(plat, damp), fam, "positive_f")
-        detector = detect_superadditivity([plat, damp], [state1, state2], fam)
+        report = check_criterion2(tensor(plat, damp), fam, "positive_f", cfg.tol)
+        detector = detect_superadditivity([plat, damp], [state1, state2], fam, tol=cfg.tol)
         witness = detector.numeric_confirmation
         return {
             "s": s,
@@ -384,8 +397,8 @@ def _scenario_dephrasure_gap(cfg: ScenarioConfig) -> dict:
 
     def row(q: float) -> dict:
         ch = dephrasure_channel(p, q)
-        sigma, primary = optimal_line_search(ch, "ad_diagonal")
-        detector = detect_private_gap_via_complement(ch, sigma)
+        sigma, primary = optimal_line_search(ch, "ad_diagonal", tol=cfg.tol)
+        detector = detect_private_gap_via_complement(ch, sigma, tol=cfg.tol)
         return {
             "q": q,
             "ic_primary": primary.value,
@@ -410,7 +423,7 @@ def _scenario_dephrasure_gap(cfg: ScenarioConfig) -> dict:
     }
 
 
-def family_from_json(obj: Mapping) -> PerturbationFamily:
+def family_from_json(obj: Mapping, tol: Tolerances = DEFAULT) -> PerturbationFamily:
     """Decode ``{"base": .., "a1": .., "a2": ..|null, "max_order": ..}`` with
     matrices as nested ``[re, im]`` pairs."""
     if not isinstance(obj, Mapping):
@@ -418,7 +431,7 @@ def family_from_json(obj: Mapping) -> PerturbationFamily:
     for key in ("base", "a1"):
         if key not in obj:
             raise ValueError(f"perturbation family is missing field {key!r}")
-    base = DensityMatrix.from_matrix(matrix_from_pairs(obj["base"]))
+    base = DensityMatrix.from_matrix(matrix_from_pairs(obj["base"]), tol)
     a1 = HermitianOperator.from_matrix(matrix_from_pairs(obj["a1"]))
     a2 = None
     if obj.get("a2") is not None:
@@ -431,15 +444,16 @@ def run_custom(
     family_json: Mapping,
     criterion: str,
     sense: str = "positive_f",
+    tol: Tolerances = DEFAULT,
 ) -> CriterionReport:
     """Run one named criterion on a channel and family given as JSON."""
     ch = channel_from_json(channel_json)
-    fam = family_from_json(family_json)
+    fam = family_from_json(family_json, tol)
     if criterion not in _CRITERION_BY_NAME:
         raise ValueError(
             f"unknown criterion {criterion!r}; expected one of {sorted(_CRITERION_BY_NAME)}"
         )
-    return _CRITERION_BY_NAME[criterion](ch, fam, sense)
+    return _CRITERION_BY_NAME[criterion](ch, fam, sense, tol)
 
 
 _SCENARIO_FUNCS = {
@@ -481,6 +495,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         report = run_custom(
             extra["channel"], extra["family"], extra["criterion"],
             str(extra.get("sense", "positive_f")),
+            cfg.tol,
         )
         payload = {"scenario": "custom", "report": report.to_json()}
         json_path = base + ".json"

@@ -19,7 +19,7 @@ from cohpert import (
     w_trace,
 )
 from cohpert.scenarios import two_qubit_tilt_family
-from cohpert.tolerances import resolve
+from cohpert.tolerances import DEFAULT
 
 
 def random_channel(rng, d_in, d_out, d_env):
@@ -82,17 +82,15 @@ def projectors(dec):
     return tuple(out)
 
 
-def kernel_indices(dec, kernel_tol=None):
+def kernel_indices(dec, kernel_tol=DEFAULT.kernel_tol):
     """Indices of the clusters with ``|value| <= kernel_tol``."""
-    kernel_tol = resolve(kernel_tol, "KERNEL_TOL")
     return tuple(i for i, v in enumerate(dec.eigenvalues) if abs(v) <= kernel_tol)
 
 
-def kernel_projector(dec, kernel_tol=None):
+def kernel_projector(dec, kernel_tol=DEFAULT.kernel_tol):
     """Reference kernel projector: the sum of the projectors of the kernel
     clusters, rank 0 and zero for a full-rank operator.  A cluster value
     below ``-kernel_tol`` signals a non-PSD source and raises."""
-    kernel_tol = resolve(kernel_tol, "KERNEL_TOL")
     negative = [v for v in dec.eigenvalues if v < -kernel_tol]
     if negative:
         raise PositivityError(

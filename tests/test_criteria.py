@@ -8,6 +8,7 @@ from cohpert import (
     NoSignChangeError,
     PerturbationFamily,
     RankCaseError,
+    Tolerances,
     amplitude_damping_channel,
     check_criterion1,
     check_criterion2,
@@ -164,6 +165,19 @@ def test_criterion3_first_order_mismatch_fails():
     assert any("first_order" in w for w in report.warnings)
 
 
+def test_criterion3_first_order_tol_decides_a_small_mismatch():
+    # a near-maximally-mixed base leaves log traces of order 1e-7 apart
+    ch = depolarizing_channel(0.1)
+    rho = DensityMatrix.from_matrix(np.diag([0.5 + 1e-6, 0.5 - 1e-6]))
+    fam = PerturbationFamily.build(rho, HermitianOperator.from_matrix(np.diag([0.1, -0.1])))
+    strict = check_criterion3(ch, fam, "negative_f")
+    assert strict.verdict == "fails"
+    assert "first_order_condition_violated:log_a1" in strict.warnings
+    loose = check_criterion3(ch, fam, "negative_f", Tolerances(first_order_tol=1e-3))
+    assert loose.verdict == "fires"
+    assert loose.margin == strict.margin
+
+
 def test_criterion3_labels_second_order_log_terms():
     ch = amplitude_damping_channel(0.3)
     rho = DensityMatrix.from_matrix(np.diag([0.6, 0.4]))
@@ -261,6 +275,28 @@ def test_detect_private_gap_depolarizing(p):
     eps, value = report.numeric_confirmation
     assert value < -1e-8
     assert any("private capacity of the complement" in note for note in report.notes)
+
+
+@pytest.mark.parametrize(
+    "override, changed",
+    [
+        # entropies cut at 1e-7 lose the witness at eps = 5.7e-8
+        ({"kernel_tol": 1e-7}, lambda report: report.numeric_confirmation is None),
+        # the PSD slack admits a slightly larger r-bar
+        ({"psd_tol": 1e-6}, lambda report: report.admissible_r > 0.5),
+        # the C1 margin of 0.147 no longer clears the decision margin
+        ({"decision_tol": 0.5}, lambda report: report.criterion_report.verdict == "fails"),
+        # the witness of -1.46e-8 bits no longer clears the numeric margin
+        ({"numeric_margin": 1e-5}, lambda report: report.numeric_confirmation is None),
+    ],
+    ids=["kernel_tol", "psd_tol", "decision_tol", "numeric_margin"],
+)
+def test_tolerance_field_reaches_private_gap_detector(override, changed):
+    args = (depolarizing_channel(0.1), DensityMatrix.maximally_mixed(2), qubit_flip_family())
+    default = detect_private_gap(*args)
+    assert default.conclusion == "gap_detected"
+    assert not changed(default)
+    assert changed(detect_private_gap(*args, tol=Tolerances(**override)))
 
 
 def _default_gap_grid(fam):

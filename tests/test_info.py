@@ -7,6 +7,7 @@ from cohpert import (
     Ensemble,
     HermitianOperator,
     PositivityError,
+    Tolerances,
     amplitude_damping_channel,
     apply,
     coherent_information,
@@ -69,7 +70,7 @@ def test_entropy_rejects_eigenvalue_below_psd_tol():
     rho = DensityMatrix(HermitianOperator.from_matrix(np.diag([0.6 + 1e-6, 0.4, -1e-6])))
     with pytest.raises(PositivityError):
         von_neumann_entropy(rho)
-    assert FLAG_CLAMPED in von_neumann_entropy(rho, psd_tol=1e-5).flags
+    assert FLAG_CLAMPED in von_neumann_entropy(rho, tol=Tolerances(psd_tol=1e-5)).flags
 
 
 def test_entropy_against_scalar_oracle():
@@ -370,14 +371,15 @@ def test_coherent_information_takes_entropies_from_the_validation_spectra(monkey
 
 def test_coherent_information_keeps_both_positivity_checks():
     # images of a state with a negative eigenvalue under the identity channel:
-    # the image validation rejects below PSD_TOL, the caller's psd_tol below that
+    # the image validation and the entropy both reject below the caller's
+    # psd_tol, so the image validation is the one that raises
     ch = identity_channel(2)
     far = DensityMatrix(HermitianOperator.from_matrix(np.diag([1.0 + 1e-8, -1e-8])))
     with pytest.raises(PositivityError, match="density matrix has eigenvalue"):
         coherent_information(far, ch)
     near = DensityMatrix(HermitianOperator.from_matrix(np.diag([1.0 + 1e-11, -1e-11])))
-    with pytest.raises(PositivityError, match=r"^eigenvalue .* below -1.0e-12"):
-        coherent_information(near, ch, psd_tol=1e-12)
+    with pytest.raises(PositivityError, match=r"^density matrix has eigenvalue .* below -1.0e-12"):
+        coherent_information(near, ch, tol=Tolerances(psd_tol=1e-12))
     assert FLAG_CLAMPED in coherent_information(near, ch).flags
 
 

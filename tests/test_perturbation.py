@@ -9,6 +9,7 @@ from cohpert import (
     PerturbationFamily,
     PositivityError,
     RankCaseError,
+    Tolerances,
     admissible_radius,
     amplitude_damping_channel,
     apply_matrix,
@@ -268,7 +269,7 @@ def test_eigenbasis_kernel_traces_match_projector_form(rng, d):
         b1, b2 = random_traceless(rng, d).matrix, random_traceless(rng, d).matrix
         dec = spectral_decompose(base)
         assert w0_trace(dec, b1, b2) == pytest.approx(projector_w0_trace(dec, b1, b2), rel=1e-12)
-        assert _support_log_trace(dec, b1, 1e-10) == pytest.approx(
+        assert _support_log_trace(dec, b1, Tolerances(kernel_tol=1e-10)) == pytest.approx(
             projector_log_trace(dec, b1), rel=1e-12, abs=1e-14
         )
 
@@ -401,6 +402,16 @@ def test_evaluator_grid_matches_pointwise_coherent_information():
         assert np.max(np.abs(values - reference)) <= 1e-12
     # the three-copy environment (d = 64) takes more than one stacked call
     assert len(grid) > STACK_ENTRIES // 64 ** 2
+
+
+def test_evaluator_entropy_uses_its_own_kernel_tol():
+    # a 1e-3 cut drops eigenvalues that the default 1e-10 cut keeps, so the
+    # stacked and pointwise values agree only if both read the same kernel_tol
+    ch, fam, tol = depolarizing_channel(0.1), qubit_flip_family(), Tolerances(kernel_tol=1e-3)
+    stacked = FamilyEvaluator(ch, fam, tol).coherent_information([1e-5])[0]
+    pointwise = coherent_information(state_at(fam, 1e-5), ch, tol).value
+    assert stacked == pytest.approx(pointwise, abs=1e-15)
+    assert abs(stacked - coherent_information(state_at(fam, 1e-5), ch).value) > 1e-5
 
 
 def test_evaluator_rejects_eps_outside_the_family():

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from cohpert import RankCaseError, ScenarioConfig, cli, run_custom, run_scenario, tolerances
+from cohpert import RankCaseError, ScenarioConfig, run_custom, run_scenario
 from cohpert.channels import matrix_to_pairs
 from cohpert.cli import main
 from cohpert.scenarios import GridSpec, dephrasure_positive_ic_boundary, family_from_json
@@ -224,6 +224,32 @@ def test_cli_malformed_key_value_is_an_error(tmp_path, capsys, flags):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"scenario": "hashing-curve", "params": [1, 2]}, "params"),
+        ({"scenario": "gap-depolarizing", "params": {"p": None}}, "'p'"),
+    ],
+)
+def test_cli_scan_malformed_params_is_an_error(tmp_path, capsys, config, key):
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps({**config, "output": str(tmp_path / "out")}))
+    with pytest.raises(ValueError, match=key):
+        ScenarioConfig.from_json(config)
+    assert main(["scan", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+def test_cli_check_missing_channel_parameter_is_an_error(tmp_path, capsys):
+    config = identity_check_config()
+    config["channel"] = {"family": "depolarizing", "params": {}}
+    path = tmp_path / "check.json"
+    path.write_text(json.dumps(config))
+    assert main(["check", str(path)]) == 1
+    assert "error: channel family 'depolarizing' needs parameter 'p'" in capsys.readouterr().err
+
+
 def test_cli_scan_ignores_legacy_seed_and_jobs(tmp_path):
     csv_text = []
     for name, legacy in (("plain", {}), ("legacy", {"seed": 7, "jobs": 2})):
@@ -245,33 +271,17 @@ def test_cli_scan_ignores_legacy_seed_and_jobs(tmp_path):
     assert csv_text[0] == csv_text[1]
 
 
-def test_cli_tol_override_runs(tmp_path, monkeypatch):
-    # the override is a module-level setattr; monkeypatch restores the
-    # default for later tests even if main fails to
-    monkeypatch.setattr(tolerances, "KERNEL_TOL", tolerances.KERNEL_TOL)
-    default = tolerances.KERNEL_TOL
-    in_force = []
+def test_cli_tol_override_runs(tmp_path):
+    # --tol builds a value for its own run only: it changes that run's
+    # output, and a default run after it matches a default run before it
+    def run(name, *flags):
+        out = tmp_path / name
+        assert main(["scenario", "gap-depolarizing", "--out", str(out), *flags]) == 0
+        return [read(out / f"gap-depolarizing.{ext}") for ext in ("csv", "json")]
 
-    def spy(cfg):
-        in_force.append(tolerances.KERNEL_TOL)
-        return run_scenario(cfg)
-
-    monkeypatch.setattr(cli, "run_scenario", spy)
-    code = main(
-        [
-            "scenario",
-            "hashing-curve",
-            "--grid",
-            "0.2:0.3:4",
-            "--out",
-            str(tmp_path),
-            "--tol",
-            "kernel_tol=1e-11",
-        ]
-    )
-    assert code == 0
-    assert in_force == [1e-11]
-    assert tolerances.KERNEL_TOL == default
+    fresh = run("fresh")
+    assert run("override", "--tol", "kernel_tol=1e-2") != fresh
+    assert run("after") == fresh
 
 
 def test_depolarizing_n2_needs_full_rank_outputs(tmp_path):
@@ -282,19 +292,21 @@ def test_depolarizing_n2_needs_full_rank_outputs(tmp_path):
 
 
 def test_cli_tol_rejects_unknown_name(tmp_path):
-    with pytest.raises(SystemExit):
-        main(
-            [
-                "scenario",
-                "hashing-curve",
-                "--grid",
-                "0.2:0.3:4",
-                "--out",
-                str(tmp_path),
-                "--tol",
-                "bogus=1",
-            ]
-        )
+    # cptp_tol is a fixed constant, not a field of Tolerances
+    for name in ("bogus", "cptp_tol"):
+        with pytest.raises(SystemExit, match="unknown tolerance"):
+            main(
+                [
+                    "scenario",
+                    "hashing-curve",
+                    "--grid",
+                    "0.2:0.3:4",
+                    "--out",
+                    str(tmp_path),
+                    "--tol",
+                    f"{name}=1",
+                ]
+            )
 
 
 def test_all_exports_resolve():
