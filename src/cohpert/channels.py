@@ -189,8 +189,16 @@ def tensor_all(channels: Sequence[QuantumChannel], dim_cap: int = DEFAULT_DIM_CA
     return out
 
 
+def _number(name: str, value: object) -> float:
+    """``float(value)``, or a ``ValueError`` naming the parameter."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"parameter {name} must be a number, got {value!r}") from None
+
+
 def _check_unit_interval(name: str, value: float) -> float:
-    value = float(value)
+    value = _number(name, value)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"parameter {name}={value!r} outside [0, 1]")
     return value
@@ -209,7 +217,10 @@ def depolarizing_channel(p: float) -> QuantumChannel:
 
 def pauli_channel(probs: Sequence[float]) -> QuantumChannel:
     """Qubit Pauli channel with Kraus operators ``sqrt(p_i) sigma_i``."""
-    probs = [float(q) for q in probs]
+    try:
+        probs = [float(q) for q in probs]
+    except (TypeError, ValueError):
+        raise ValueError(f"parameter probs must be 4 numbers, got {probs!r}") from None
     if len(probs) != 4:
         raise ValueError(f"need 4 Pauli probabilities, got {len(probs)}")
     if any(q < 0 for q in probs):
@@ -235,7 +246,7 @@ def platypus_channel(s: float) -> QuantumChannel:
     ``|1> -> |2>|0>`` and ``|2> -> |2>|1>`` (output (x) environment); the two
     Kraus operators are the environment components of that isometry.
     """
-    s = float(s)
+    s = _number("s", s)
     if not 0.0 < s <= 0.5:
         raise ValueError(f"parameter s={s!r} outside (0, 1/2]")
     k0 = np.zeros((3, 3), dtype=complex)
@@ -327,9 +338,9 @@ def builtin(spec: ChannelSpec) -> QuantumChannel:
     if family == "dephrasure":
         return dephrasure_channel(_param(spec, "p"), _param(spec, "q"))
     if family == "erasure":
-        return erasure_channel(_param(spec, "q"), int(params.get("dim", 2)))
+        return erasure_channel(_param(spec, "q"), int(_number("dim", params.get("dim", 2))))
     if family == "identity":
-        return identity_channel(int(params.get("dim", 2)))
+        return identity_channel(int(_number("dim", params.get("dim", 2))))
     if family == "custom_kraus":
         kraus = [matrix_from_pairs(k) for k in _param(spec, "kraus")]
         return make_channel(kraus, spec=spec)

@@ -2,12 +2,17 @@
 built on them: superadditivity of one-shot quantum capacity and a positive
 gap between one-shot private and quantum capacity.
 
-Each criterion compares two spectral traces; ``sense="positive_f"`` asks
-whether the perturbation can raise coherent information, ``"negative_f"``
-whether it can lower it (the two decisive traces simply swap roles, so the
-margin flips sign exactly).  A report never concludes from the analytic
-inequality alone: detectors also require a numeric witness ``f(eps)`` of
-the right sign before calling the result.
+The criteria C1, C2 and C3 share one shape, written once in
+``_criterion``: a rank case in which the criterion applies, a first-order
+precondition, and a comparison of an output-side trace with an
+environment-side trace.  Only the traces differ.  ``sense="positive_f"``
+asks whether the perturbation can raise coherent information,
+``"negative_f"`` whether it can lower it (the two decisive traces simply
+swap roles, so the margin flips sign exactly).  A report never concludes
+from the analytic inequality alone: detectors also require a numeric
+witness ``f(eps)`` of the right sign before calling the result.  Each
+witness detector runs all three criteria on its one
+:class:`~cohpert.perturbation.FamilyEvaluator` and keeps every report.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .perturbation import (
 from .tolerances import DEFAULT, Tolerances
 
 SENSES = ("positive_f", "negative_f")
+CRITERIA = ("C1", "C2", "C3")
 
 WARN_FIRST_ORDER_VIOLATED = "first_order_condition_violated"
 WARN_NEAR_ZERO_MARGIN = "margin_within_decision_tolerance"
@@ -85,7 +91,9 @@ class DetectorReport:
 
     ``conclusion`` is only ``superadditive`` / ``gap_detected`` when the
     analytic criterion fired *and* the numeric confirmation
-    ``(eps, f(eps))`` has the matching sign.
+    ``(eps, f(eps))`` has the matching sign.  ``criteria`` holds the C1, C2
+    and C3 reports of a witness detector, inapplicable ones included;
+    ``criterion_report`` is the decisive one among them.
     """
 
     kind: str
@@ -97,6 +105,7 @@ class DetectorReport:
     admissible_r: float | None = None
     inequality: Mapping[str, float] | None = None
     notes: tuple[str, ...] = ()
+    criteria: tuple[CriterionReport, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -104,6 +113,7 @@ class DetectorReport:
             "channels": list(self.channels),
             "base_states": self.base_states,
             "criterion": self.criterion_report.to_json(),
+            "criteria": [report.to_json() for report in self.criteria],
             "witness": (
                 None
                 if self.numeric_confirmation is None
@@ -114,16 +124,6 @@ class DetectorReport:
             "inequality": None if self.inequality is None else dict(self.inequality),
             "notes": list(self.notes),
         }
-
-
-def _check_sense(sense: str) -> None:
-    if sense not in SENSES:
-        raise ValueError(f"sense must be one of {SENSES}, got {sense!r}")
-
-
-def _sense_adjust(out_side: float, env_side: float, sense: str) -> tuple[float, float]:
-    """Order the two decisive traces so that firing always means lhs > rhs."""
-    return (out_side, env_side) if sense == "positive_f" else (env_side, out_side)
 
 
 def _condition_warnings(ev: FamilyEvaluator) -> list[str]:
@@ -155,21 +155,7 @@ def check_criterion1(
     winning output side makes the first derivative of ``f`` diverge with the
     requested sign.
     """
-    return _criterion1(FamilyEvaluator(ch, fam, tol), sense)
-
-
-def _criterion1(ev: FamilyEvaluator, sense: str) -> CriterionReport:
-    _check_sense(sense)
-    decision_tol = ev.tol.decision_tol
-    if ev.out.full and ev.env.full:
-        return CriterionReport("C1", sense, "inapplicable", 0.0, 0.0, 0.0)
-    lhs, rhs = _sense_adjust(ev.out.kernel_trace(), ev.env.kernel_trace(), sense)
-    margin = lhs - rhs
-    verdict = "fires" if margin > decision_tol else "fails"
-    warnings = _condition_warnings(ev)
-    if 0.0 < margin <= decision_tol:
-        warnings.append(WARN_NEAR_ZERO_MARGIN)
-    return CriterionReport("C1", sense, verdict, lhs, rhs, margin, warnings=tuple(warnings))
+    return _criterion(FamilyEvaluator(ch, fam, tol), "C1", sense)
 
 
 def check_criterion2(
@@ -185,39 +171,7 @@ def check_criterion2(
     second-order kernel terms (``w0_trace``; a full-rank side contributes
     zero).
     """
-    return _criterion2(FamilyEvaluator(ch, fam, tol), sense)
-
-
-def _criterion2(ev: FamilyEvaluator, sense: str) -> CriterionReport:
-    _check_sense(sense)
-    first_order_tol, decision_tol = ev.tol.first_order_tol, ev.tol.decision_tol
-    if ev.out.full and ev.env.full:
-        return CriterionReport("C2", sense, "inapplicable", 0.0, 0.0, 0.0)
-
-    checks = tuple(
-        (f"{side.name}[{i}]", value)
-        for side in (ev.out, ev.env)
-        for i, value in enumerate(side.cluster_traces())
-    )
-    offending = [name for name, value in checks if abs(value) > first_order_tol]
-
-    out_term = 0.0 if ev.out.full else ev.out.w0()
-    env_term = 0.0 if ev.env.full else ev.env.w0()
-    lhs, rhs = _sense_adjust(out_term, env_term, sense)
-    margin = lhs - rhs
-
-    warnings = _condition_warnings(ev)
-    if offending:
-        warnings.append(WARN_FIRST_ORDER_VIOLATED + ":" + ",".join(offending))
-        verdict = "fails"
-    else:
-        verdict = "fires" if margin > decision_tol else "fails"
-        if 0.0 < margin <= decision_tol:
-            warnings.append(WARN_NEAR_ZERO_MARGIN)
-    return CriterionReport(
-        "C2", sense, verdict, lhs, rhs, margin,
-        first_order_checks=checks, warnings=tuple(warnings),
-    )
+    return _criterion(FamilyEvaluator(ch, fam, tol), "C2", sense)
 
 
 def check_criterion3(
@@ -236,38 +190,62 @@ def check_criterion3(
     ``tr(W)`` comparison and the report is labeled ``C3``; otherwise it is
     labeled ``THM2_FULL2``.
     """
-    return _criterion3(FamilyEvaluator(ch, fam, tol), sense)
+    return _criterion(FamilyEvaluator(ch, fam, tol), "C3", sense)
 
 
-def _criterion3(ev: FamilyEvaluator, sense: str) -> CriterionReport:
-    _check_sense(sense)
-    first_order_tol, decision_tol = ev.tol.first_order_tol, ev.tol.decision_tol
-    out, env = ev.out, ev.env
-    if not (out.full and env.full):
-        return CriterionReport("C3", sense, "inapplicable", 0.0, 0.0, 0.0)
+def _criterion(ev: FamilyEvaluator, name: str, sense: str) -> CriterionReport:
+    """Criterion ``name`` (one of :data:`CRITERIA`) on one evaluator.
 
-    t1_out = out.log_trace(out.a1)
-    t1_env = env.log_trace(env.a1)
-    t2_out = out.log_trace(out.a2)
-    t2_env = env.log_trace(env.a2)
+    C1 and C2 apply when an output is rank deficient, C3 when both are full
+    rank.  Each criterion has a first-order precondition, recorded in
+    ``first_order_checks``, and a decisive pair of traces: the kernel traces
+    (C1), the second-order kernel terms ``w0`` (C2), or ``w + 2 tr(A2 ln .)``
+    (C3).  ``first`` is the trace that must win for ``f`` to rise; the
+    negative sense swaps the pair, so firing always means ``lhs > rhs``.  A
+    violated precondition fails the report; otherwise it fires when the
+    margin clears ``decision_tol``.
+    """
+    if sense not in SENSES:
+        raise ValueError(f"sense must be one of {SENSES}, got {sense!r}")
+    if name not in CRITERIA:
+        raise ValueError(f"unknown criterion {name!r}; expected one of C1, C2, C3")
+    tol, out, env = ev.tol, ev.out, ev.env
+    if (out.full and env.full) != (name == "C3"):
+        return CriterionReport(name, sense, "inapplicable", 0.0, 0.0, 0.0)
 
-    label = "C3" if max(abs(t2_out), abs(t2_env)) <= first_order_tol else "THM2_FULL2"
-    checks = (("out[log_a1]", t1_out), ("env[log_a1]", t1_env))
+    label, checks, violated = name, (), ""
+    if name == "C1":
+        first, second = out.kernel_trace(), env.kernel_trace()
+    elif name == "C2":
+        checks = tuple(
+            (f"{side.name}[{i}]", value)
+            for side in (out, env)
+            for i, value in enumerate(side.cluster_traces())
+        )
+        violated = ",".join(n for n, value in checks if abs(value) > tol.first_order_tol)
+        first = 0.0 if out.full else out.w0()
+        second = 0.0 if env.full else env.w0()
+    else:
+        t1_out, t1_env = out.log_trace(out.a1), env.log_trace(env.a1)
+        t2_out, t2_env = out.log_trace(out.a2), env.log_trace(env.a2)
+        if max(abs(t2_out), abs(t2_env)) > tol.first_order_tol:
+            label = "THM2_FULL2"
+        checks = (("out[log_a1]", t1_out), ("env[log_a1]", t1_env))
+        if abs(t1_out - t1_env) > tol.first_order_tol:
+            violated = "log_a1"
+        # firing in the positive sense needs the environment side to dominate:
+        # f''(0) = (env side) - (out side) in natural-log units
+        first, second = env.w() + 2.0 * t2_env, out.w() + 2.0 * t2_out
 
-    out_side = out.w() + 2.0 * t2_out
-    env_side = env.w() + 2.0 * t2_env
-    # firing in the positive sense needs the environment side to dominate:
-    # f''(0) = (env side) - (out side) in natural-log units
-    lhs, rhs = _sense_adjust(env_side, out_side, sense)
+    lhs, rhs = (first, second) if sense == "positive_f" else (second, first)
     margin = lhs - rhs
-
     warnings = _condition_warnings(ev)
-    if abs(t1_out - t1_env) > first_order_tol:
-        warnings.append(WARN_FIRST_ORDER_VIOLATED + ":log_a1")
+    if violated:
+        warnings.append(WARN_FIRST_ORDER_VIOLATED + ":" + violated)
         verdict = "fails"
     else:
-        verdict = "fires" if margin > decision_tol else "fails"
-        if 0.0 < margin <= decision_tol:
+        verdict = "fires" if margin > tol.decision_tol else "fails"
+        if 0.0 < margin <= tol.decision_tol:
             warnings.append(WARN_NEAR_ZERO_MARGIN)
     return CriterionReport(
         label, sense, verdict, lhs, rhs, margin,
@@ -298,28 +276,6 @@ def classify_first_order(
     return CriterionReport("THM1_FULLRANK", "positive_f", verdict, t1_env, t1_out, margin)
 
 
-_CHECKS: tuple[Callable, ...] = (_criterion1, _criterion2, _criterion3)
-
-
-def _run_criteria(ev: FamilyEvaluator, sense: str) -> CriterionReport:
-    """Run C1 -> C2 -> C3 and return the first firing report.
-
-    When nothing fires, the last applicable report is returned so that the
-    caller still sees the decisive traces.
-    """
-    last_applicable: CriterionReport | None = None
-    for check in _CHECKS:
-        report = check(ev, sense)
-        if report.verdict == "inapplicable":
-            continue
-        if report.fires:
-            return report
-        last_applicable = report
-    if last_applicable is None:  # pragma: no cover - one rank case always applies
-        raise RuntimeError("no criterion was applicable")
-    return last_applicable
-
-
 def _channel_json(ch: QuantumChannel) -> dict:
     if ch.spec is not None:
         return ch.spec.to_json()
@@ -338,6 +294,25 @@ def default_witness_grid(radius: float, lo: float = 1e-4, points: int = 25) -> t
     if hi <= lo:
         return (hi,)
     return tuple(float(x) for x in np.geomspace(lo, hi, points))
+
+
+def _decisive(reports: Sequence[CriterionReport]) -> CriterionReport:
+    """The first firing report; when nothing fires, the last applicable one,
+    so that the caller still sees the decisive traces."""
+    applicable = [report for report in reports if report.verdict != "inapplicable"]
+    return next((report for report in applicable if report.fires), applicable[-1])
+
+
+def _witness(
+    ev: FamilyEvaluator, eps_grid: Sequence[float], sign: int, notes: list[str]
+) -> tuple[float, float] | None:
+    """The first grid point with the largest ``sign * f(eps)``, when that
+    value exceeds ``numeric_margin`` bits; an empty grid adds a note."""
+    if not eps_grid:
+        notes.append("family admits no positive radius; no witness grid")
+        return None
+    eps, f = max(zip(eps_grid, map(float, ev.f_values(eps_grid))), key=lambda t: sign * t[1])
+    return (eps, f) if sign * f > ev.tol.numeric_margin else None
 
 
 def detect_superadditivity(
@@ -365,20 +340,13 @@ def detect_superadditivity(
     if np.linalg.norm(product - fam.base.matrix) > 1e-10:
         raise ValueError("family base state is not the tensor product of the optimal states")
     ev = FamilyEvaluator(tensor_all(list(channels)), fam, tol)
-
-    report = _run_criteria(ev, "positive_f")
+    reports = tuple(_criterion(ev, name, "positive_f") for name in CRITERIA)
+    report = _decisive(reports)
 
     if eps_grid is None:
         eps_grid = default_witness_grid(admissible_radius(fam, tol))
-    witness = None
     notes: list[str] = []
-    if eps_grid:
-        values = list(zip(eps_grid, map(float, ev.f_values(eps_grid))))
-        best = max(values, key=lambda t: t[1])
-        if best[1] > tol.numeric_margin:
-            witness = best
-    else:
-        notes.append("family admits no positive radius; no witness grid")
+    witness = _witness(ev, eps_grid, +1, notes)
 
     inequality = None
     if witness is not None:
@@ -410,6 +378,7 @@ def detect_superadditivity(
         conclusion=conclusion,
         inequality=inequality,
         notes=tuple(notes),
+        criteria=reports,
     )
 
 
@@ -473,16 +442,9 @@ def detect_private_gap(
         )
 
     ev = FamilyEvaluator(ch, fam, tol)
-    report = _run_criteria(ev, "negative_f")
-
-    witness = None
-    if eps_grid:
-        values = list(zip(eps_grid, map(float, ev.f_values(eps_grid))))
-        best = min(values, key=lambda t: t[1])
-        if best[1] < -tol.numeric_margin:
-            witness = best
-    else:
-        notes.append("family admits no positive radius; no witness grid")
+    reports = tuple(_criterion(ev, name, "negative_f") for name in CRITERIA)
+    report = _decisive(reports)
+    witness = _witness(ev, eps_grid, -1, notes)
 
     if r_bar is None or r_bar <= r_tol:
         conclusion = "inconclusive"
@@ -504,6 +466,7 @@ def detect_private_gap(
         conclusion=conclusion,
         admissible_r=r_bar,
         notes=tuple(notes),
+        criteria=reports,
     )
 
 
@@ -578,13 +541,6 @@ def detect_private_gap_via_complement(
     )
 
 
-_CRITERION_BY_NAME = {
-    "C1": check_criterion1,
-    "C2": check_criterion2,
-    "C3": check_criterion3,
-}
-
-
 def criterion_margin(
     ch: QuantumChannel,
     fam: PerturbationFamily,
@@ -593,11 +549,7 @@ def criterion_margin(
     tol: Tolerances = DEFAULT,
 ) -> float:
     """Margin of one named criterion for scan and root-finding use."""
-    try:
-        check = _CRITERION_BY_NAME[criterion]
-    except KeyError:
-        raise ValueError(f"unknown criterion {criterion!r}; expected one of C1, C2, C3") from None
-    return check(ch, fam, sense, tol).margin
+    return _criterion(FamilyEvaluator(ch, fam, tol), criterion, sense).margin
 
 
 def threshold_scan(

@@ -28,10 +28,8 @@ from .channels import (
     tensor,
 )
 from .criteria import (
-    _CRITERION_BY_NAME,
     CriterionReport,
-    check_criterion1,
-    check_criterion2,
+    _criterion,
     detect_private_gap,
     detect_private_gap_via_complement,
     detect_superadditivity,
@@ -41,6 +39,7 @@ from .errors import NoSignChangeError, RankCaseError
 from .info import coherent_information
 from .linalg import DensityMatrix, HermitianOperator
 from .perturbation import (
+    FamilyEvaluator,
     PerturbationFamily,
     basis_line,
     line_between,
@@ -321,9 +320,8 @@ def _scenario_gap_depolarizing(cfg: ScenarioConfig) -> dict:
     sigma = DensityMatrix.maximally_mixed(2)
 
     def row(p: float) -> dict:
-        ch = depolarizing_channel(p)
-        report = check_criterion1(ch, fam, "negative_f", cfg.tol)
-        detector = detect_private_gap(ch, sigma, fam, tol=cfg.tol)
+        detector = detect_private_gap(depolarizing_channel(p), sigma, fam, tol=cfg.tol)
+        report = detector.criteria[0]  # C1
         witness = detector.numeric_confirmation
         return {
             "p": p,
@@ -364,8 +362,8 @@ def _scenario_platypus_ad(cfg: ScenarioConfig) -> dict:
             w_star = float(state1.matrix[2, 2].real)
         state2 = DensityMatrix.pure([1.0, 0.0])
         fam = platypus_ad_family(w_star, a)
-        report = check_criterion2(tensor(plat, damp), fam, "positive_f", cfg.tol)
         detector = detect_superadditivity([plat, damp], [state1, state2], fam, tol=cfg.tol)
+        report = detector.criteria[1]  # C2
         witness = detector.numeric_confirmation
         return {
             "s": s,
@@ -449,11 +447,7 @@ def run_custom(
     """Run one named criterion on a channel and family given as JSON."""
     ch = channel_from_json(channel_json)
     fam = family_from_json(family_json, tol)
-    if criterion not in _CRITERION_BY_NAME:
-        raise ValueError(
-            f"unknown criterion {criterion!r}; expected one of {sorted(_CRITERION_BY_NAME)}"
-        )
-    return _CRITERION_BY_NAME[criterion](ch, fam, sense, tol)
+    return _criterion(FamilyEvaluator(ch, fam, tol), criterion, sense)
 
 
 _SCENARIO_FUNCS = {

@@ -196,17 +196,62 @@ def compacted_entropy_bits(eigenvalues, kernel_tol):
     return float(-(kept * np.log2(kept)).sum()) if kept.size else 0.0
 
 
+def plain_images(kraus, m):
+    """``(N(m), N^c(m))`` from the Kraus operators alone, with
+    ``N^c(m) = [tr(K_k m K_l^dag)]_kl``."""
+    out = sum(k @ m @ k.conj().T for k in kraus)
+    env = np.array([[np.trace(k @ m @ l.conj().T) for l in kraus] for k in kraus])
+    return out, env
+
+
 def plain_coherent_information(kraus, rho):
     """``S(N(rho)) - S(N^c(rho))`` in bits from the Kraus operators alone, with
-    ``N^c(rho) = [tr(K_k rho K_l^dag)]_kl`` and no eigenvalue cut."""
+    no eigenvalue cut."""
     def entropy(m):
         w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
         w = w[w > 0.0]
         return float(-(w * np.log2(w)).sum())
 
-    out = sum(k @ rho @ k.conj().T for k in kraus)
-    env = np.array([[np.trace(k @ rho @ l.conj().T) for l in kraus] for k in kraus])
+    out, env = plain_images(kraus, rho)
     return entropy(out) - entropy(env)
+
+
+def plain_log_trace(state, b):
+    """``tr(B ln state)`` for a full-rank state, from one ``eigh``."""
+    lam, vec = np.linalg.eigh(state)
+    return float(np.trace(vec @ np.diag(np.log(lam)) @ vec.conj().T @ b).real)
+
+
+def plain_kernel_split(state, kernel_tol=DEFAULT.kernel_tol):
+    """``(P0, C0)``: the projector onto the eigenvectors with eigenvalue at
+    most ``kernel_tol``, and ``sum_j P_j / lambda_j`` over the others."""
+    lam, vec = np.linalg.eigh(state)
+    ker = lam <= kernel_tol
+    return vec[:, ker] @ vec[:, ker].conj().T, (vec[:, ~ker] / lam[~ker]) @ vec[:, ~ker].conj().T
+
+
+def plain_kernel_trace(state, b1):
+    """C1's trace ``tr(P0 B1)``."""
+    p0, _ = plain_kernel_split(state)
+    return float(np.trace(p0 @ b1).real)
+
+
+def plain_w0(state, b1, b2):
+    """C2's trace ``tr(P0 B2) - tr(P0 B1 C0 B1 P0)``; 0 for a full-rank state."""
+    p0, c0 = plain_kernel_split(state)
+    return float(np.trace(p0 @ b2 - p0 @ b1 @ c0 @ b1 @ p0).real)
+
+
+def plain_second_derivative_nats(kraus, base, a1, a2, h=4e-3):
+    """``f''(0)`` in nats along ``base + eps a1 + eps^2 a2``, by central
+    differences of :func:`plain_coherent_information` with one Richardson step."""
+    def f(eps):
+        return plain_coherent_information(kraus, base + eps * a1 + eps * eps * a2) * math.log(2.0)
+
+    def central(step):
+        return (f(step) - 2.0 * f(0.0) + f(-step)) / (step * step)
+
+    return (4.0 * central(h / 2) - central(h)) / 3.0
 
 
 def golden_section_max(fn, lo=0.0, hi=1.0, tol=1e-9):

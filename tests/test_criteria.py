@@ -484,8 +484,11 @@ def test_detector_report_json_schema():
     body = report.to_json()
     assert set(body) == {
         "kind", "channels", "base_states", "criterion", "witness",
-        "conclusion", "admissible_r", "inequality", "notes",
+        "conclusion", "admissible_r", "inequality", "notes", "criteria",
     }
+    assert [c["criterion"] for c in body["criteria"]] == ["C1", "C2", "C3"]
+    assert body["criteria"][0] == body["criterion"]
+    assert body["criteria"][2]["verdict"] == "inapplicable"
     assert body["witness"] is not None and body["witness"]["f"] < 0
     assert body["channels"][0]["family"] == "depolarizing"
 

@@ -1,12 +1,16 @@
 """Scenario-output regression gate: each scenario at its default grid must
-reproduce the CSV committed under ``tests/golden``.
+reproduce the CSV and the JSON ``report`` block committed under
+``tests/golden``.
 
-Verdicts, conclusions and boolean columns compare exactly; numbers compare
-within ``1e-12 + 1e-9 * |golden|``, which is round-off for these tables and
-far below any value a refactor may move.
+Verdicts, conclusions, boolean columns and every JSON string compare
+exactly; numbers compare within ``1e-12 + 1e-9 * |golden|``, which is
+round-off for these tables and far below any value a refactor may move.
+The JSON comparison skips only each detector's ``criteria`` list, which
+the golden files predate.
 """
 
 import csv
+import json
 from pathlib import Path
 
 import pytest
@@ -16,11 +20,16 @@ from cohpert import ScenarioConfig, run_scenario
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = ("depolarizing-n2", "platypus-ad", "gap-depolarizing", "dephrasure-gap", "hashing-curve")
 EXACT_COLUMNS = {"verdict", "conclusion", "below_positive_ic_boundary"}
+IGNORED_JSON_KEYS = {"criteria"}
 
 
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def close(got, want):
+    return abs(got - want) <= 1e-12 + 1e-9 * abs(want)
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -37,4 +46,30 @@ def test_scenario_reproduces_golden_csv(name, tmp_path):
             if column in EXACT_COLUMNS or not w:
                 assert g == w, where
             else:
-                assert abs(float(g) - float(w)) <= 1e-12 + 1e-9 * abs(float(w)), where
+                assert close(float(g), float(w)), where
+
+
+def assert_json_matches(got, want, where):
+    if isinstance(want, dict):
+        assert isinstance(got, dict), where
+        assert set(got) - IGNORED_JSON_KEYS == set(want) - IGNORED_JSON_KEYS, where
+        for key in want.keys() - IGNORED_JSON_KEYS:
+            assert_json_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_json_matches(g, w, f"{where}[{i}]")
+    elif isinstance(want, float) and not isinstance(got, bool):
+        assert isinstance(got, (int, float)) and close(float(got), want), where
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_scenario_reproduces_golden_json_report(name, tmp_path):
+    run_scenario(ScenarioConfig(name, output=str(tmp_path), fmt="json"))
+    with open(tmp_path / f"{name}.json", encoding="utf-8") as fh:
+        got = json.load(fh)["report"]
+    with open(GOLDEN / f"{name}.json", encoding="utf-8") as fh:
+        want = json.load(fh)
+    assert_json_matches(got, want, name)

@@ -7,7 +7,20 @@ import pytest
 from cohpert import RankCaseError, ScenarioConfig, run_custom, run_scenario
 from cohpert.channels import matrix_to_pairs
 from cohpert.cli import main
+from cohpert.perturbation import FamilyEvaluator
 from cohpert.scenarios import GridSpec, dephrasure_positive_ic_boundary, family_from_json
+
+from conftest import (
+    plain_images,
+    plain_kernel_trace,
+    plain_log_trace,
+    plain_second_derivative_nats,
+    plain_w0,
+    random_channel,
+    random_density,
+    random_pure,
+    random_traceless,
+)
 
 
 def identity_check_config():
@@ -132,6 +145,57 @@ def test_run_custom_identity_zero_perturbation():
     assert report.margin == pytest.approx(0.0, abs=1e-12)
 
 
+CUSTOM_CASES = [
+    ("full", "C3", "positive_f"),
+    ("full", "C3", "negative_f"),
+    ("pure", "C1", "positive_f"),
+    ("pure", "C1", "negative_f"),
+    ("pure", "C2", "positive_f"),
+    ("pure", "C2", "negative_f"),
+]
+
+
+@pytest.mark.parametrize("d_out", [4, 16])
+@pytest.mark.parametrize("base_kind, criterion, sense", CUSTOM_CASES)
+def test_run_custom_matches_plain_numpy_references(rng, d_out, base_kind, criterion, sense):
+    # d_in = d_env = sqrt(d_out): a full-rank base keeps both outputs full
+    # rank (C3), a pure base leaves a kernel on the output side (C1, C2)
+    d = int(round(d_out ** 0.5))
+    kraus = np.array(random_channel(rng, d, d_out, d).kraus)
+    if base_kind == "full":
+        base = 0.5 * random_density(rng, d).matrix + 0.5 * np.eye(d) / d
+        a1 = random_traceless(rng, d).matrix
+        a1 = a1 * (0.1 / d / np.linalg.norm(a1))
+    else:
+        base = random_pure(rng, d).matrix
+        a1 = random_density(rng, d).matrix - base
+    a2 = random_traceless(rng, d).matrix
+    a2 = a2 * (0.05 / d / np.linalg.norm(a2))
+    report = run_custom(
+        {"family": "custom_kraus", "params": {"kraus": [matrix_to_pairs(k) for k in kraus]}},
+        {"base": matrix_to_pairs(base), "a1": matrix_to_pairs(a1), "a2": matrix_to_pairs(a2)},
+        criterion,
+        sense,
+    )
+    assert report.verdict != "inapplicable"
+    flip = 1.0 if sense == "positive_f" else -1.0
+    (out0, env0), (out1, env1), (out2, env2) = (plain_images(kraus, m) for m in (base, a1, a2))
+    if criterion == "C3":
+        fd = plain_second_derivative_nats(kraus, base, a1, a2)
+        assert flip * report.margin == pytest.approx(fd, rel=1e-5, abs=1e-7)
+        checks = dict(report.first_order_checks)
+        assert checks["out[log_a1]"] == pytest.approx(plain_log_trace(out0, out1), rel=1e-8, abs=1e-9)
+        assert checks["env[log_a1]"] == pytest.approx(plain_log_trace(env0, env1), rel=1e-8, abs=1e-9)
+        return
+    if criterion == "C1":
+        out_side, env_side = plain_kernel_trace(out0, out1), plain_kernel_trace(env0, env1)
+    else:
+        out_side, env_side = plain_w0(out0, out1, out2), plain_w0(env0, env1, env2)
+    lhs, rhs = (out_side, env_side) if flip > 0 else (env_side, out_side)
+    assert report.lhs == pytest.approx(lhs, rel=1e-8, abs=1e-9)
+    assert report.rhs == pytest.approx(rhs, rel=1e-8, abs=1e-9)
+
+
 def test_family_from_json_validation():
     with pytest.raises(ValueError):
         family_from_json({"base": matrix_to_pairs(np.eye(2) / 2)})
@@ -250,6 +314,31 @@ def test_cli_check_missing_channel_parameter_is_an_error(tmp_path, capsys):
     assert "error: channel family 'depolarizing' needs parameter 'p'" in capsys.readouterr().err
 
 
+def test_cli_check_unknown_criterion_is_an_error(tmp_path, capsys):
+    path = tmp_path / "check.json"
+    path.write_text(json.dumps({**identity_check_config(), "criterion": "C4"}))
+    assert main(["check", str(path)]) == 1
+    assert "error: unknown criterion 'C4'; expected one of C1, C2, C3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "channel, name",
+    [
+        ({"family": "depolarizing", "params": {"p": None}}, "p"),
+        ({"family": "platypus", "params": {"s": "half"}}, "s"),
+        ({"family": "pauli", "params": {"probs": None}}, "probs"),
+        ({"family": "identity", "params": {"dim": None}}, "dim"),
+    ],
+)
+def test_cli_check_non_numeric_channel_parameter_is_an_error(tmp_path, capsys, channel, name):
+    config = identity_check_config()
+    config["channel"] = channel
+    path = tmp_path / "check.json"
+    path.write_text(json.dumps(config))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: parameter {name} must be ")
+
+
 def test_cli_scan_ignores_legacy_seed_and_jobs(tmp_path):
     csv_text = []
     for name, legacy in (("plain", {}), ("legacy", {"seed": 7, "jobs": 2})):
@@ -282,6 +371,24 @@ def test_cli_tol_override_runs(tmp_path):
     fresh = run("fresh")
     assert run("override", "--tol", "kernel_tol=1e-2") != fresh
     assert run("after") == fresh
+
+
+@pytest.mark.parametrize("name, per_row", [("gap-depolarizing", 1), ("platypus-ad", 2)])
+def test_scenario_rows_build_one_evaluator_per_search_and_detector(
+    tmp_path, monkeypatch, name, per_row
+):
+    # the rows read their criterion columns from the detector's reports; a
+    # platypus-ad row also runs one line search for its optimal state
+    built = []
+    init = FamilyEvaluator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FamilyEvaluator, "__init__", counting_init)
+    rows = run_scenario(ScenarioConfig(name, output=str(tmp_path), fmt="json"))["report"]["rows"]
+    assert len(built) == per_row * len(rows)
 
 
 def test_depolarizing_n2_needs_full_rank_outputs(tmp_path):
