@@ -7,6 +7,7 @@ throughout the package.  Channels are immutable and all operations are pure.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
@@ -197,6 +198,16 @@ def _number(name: str, value: object) -> float:
         raise ValueError(f"parameter {name} must be a number, got {value!r}") from None
 
 
+def _check_dimension(dim: object) -> int:
+    """``dim`` as an ``int``, or a ``ValueError`` unless it is a whole number
+    of levels, at least 1 (``True`` is not a number of levels)."""
+    if isinstance(dim, float) and dim.is_integer():
+        dim = int(dim)
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        raise ValueError(f"parameter dim must be an integer of at least 1, got {dim!r}")
+    return int(dim)
+
+
 def _check_unit_interval(name: str, value: float) -> float:
     value = _number(name, value)
     if not 0.0 <= value <= 1.0:
@@ -287,6 +298,7 @@ def dephrasure_channel(p: float, q: float) -> QuantumChannel:
 def erasure_channel(q: float, dim: int = 2) -> QuantumChannel:
     """Erasure to a flag level with probability ``q`` on a ``dim``-level input."""
     q = _check_unit_interval("q", q)
+    dim = _check_dimension(dim)
     embed = np.zeros((dim + 1, dim), dtype=complex)
     embed[:dim, :] = np.eye(dim)
     kraus = [np.sqrt(1.0 - q) * embed]
@@ -298,6 +310,7 @@ def erasure_channel(q: float, dim: int = 2) -> QuantumChannel:
 
 
 def identity_channel(dim: int = 2) -> QuantumChannel:
+    dim = _check_dimension(dim)
     return make_channel([np.eye(dim, dtype=complex)], spec=ChannelSpec("identity", {"dim": dim}))
 
 
@@ -326,7 +339,6 @@ def _param(spec: ChannelSpec, name: str) -> object:
 def builtin(spec: ChannelSpec) -> QuantumChannel:
     """Construct a channel from its serializable description."""
     family = spec.family
-    params = spec.params
     if family == "depolarizing":
         return depolarizing_channel(_param(spec, "p"))
     if family == "pauli":
@@ -338,9 +350,9 @@ def builtin(spec: ChannelSpec) -> QuantumChannel:
     if family == "dephrasure":
         return dephrasure_channel(_param(spec, "p"), _param(spec, "q"))
     if family == "erasure":
-        return erasure_channel(_param(spec, "q"), int(_number("dim", params.get("dim", 2))))
+        return erasure_channel(_param(spec, "q"), spec.params.get("dim", 2))
     if family == "identity":
-        return identity_channel(int(_number("dim", params.get("dim", 2))))
+        return identity_channel(spec.params.get("dim", 2))
     if family == "custom_kraus":
         kraus = [matrix_from_pairs(k) for k in _param(spec, "kraus")]
         return make_channel(kraus, spec=spec)

@@ -2,17 +2,15 @@
 built on them: superadditivity of one-shot quantum capacity and a positive
 gap between one-shot private and quantum capacity.
 
-The criteria C1, C2 and C3 share one shape, written once in
-``_criterion``: a rank case in which the criterion applies, a first-order
-precondition, and a comparison of an output-side trace with an
-environment-side trace.  Only the traces differ.  ``sense="positive_f"``
-asks whether the perturbation can raise coherent information,
-``"negative_f"`` whether it can lower it (the two decisive traces simply
-swap roles, so the margin flips sign exactly).  A report never concludes
-from the analytic inequality alone: detectors also require a numeric
-witness ``f(eps)`` of the right sign before calling the result.  Each
-witness detector runs all three criteria on its one
-:class:`~cohpert.perturbation.FamilyEvaluator` and keeps every report.
+The criteria C1, C2 and C3 are reports on one comparison each, made by
+:meth:`~cohpert.perturbation.FamilyEvaluator.comparison`, which
+:func:`~cohpert.perturbation.derivative_profile` reads too: a rank case, a
+first-order precondition and a pair of traces.  ``sense="positive_f"`` asks
+whether the perturbation can raise coherent information, ``"negative_f"``
+whether it can lower it (the pair swaps, so the margin flips sign exactly).
+A report never concludes from the analytic inequality alone: detectors also
+require a numeric witness ``f(eps)`` of the right sign.  Each witness
+detector runs all three criteria on its one evaluator and keeps every report.
 """
 
 from __future__ import annotations
@@ -22,11 +20,12 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .channels import QuantumChannel, complement, tensor_all
+from .channels import QuantumChannel, tensor_all
 from .errors import NoSignChangeError, RankCaseError
 from .info import coherent_information
 from .linalg import DensityMatrix
 from .perturbation import (
+    CRITERIA,
     FamilyEvaluator,
     PerturbationFamily,
     admissible_radius,
@@ -34,16 +33,15 @@ from .perturbation import (
     section_maximize,
     state_at,
     state_stacks,
+    _kernel_warnings,
 )
 from .tolerances import DEFAULT, Tolerances
 
 SENSES = ("positive_f", "negative_f")
-CRITERIA = ("C1", "C2", "C3")
 
 WARN_FIRST_ORDER_VIOLATED = "first_order_condition_violated"
 WARN_NEAR_ZERO_MARGIN = "margin_within_decision_tolerance"
 WARN_NEAR_DEGENERATE = "near_degenerate_clustering"
-WARN_KERNEL_PSD = "kernel_block_not_psd"
 
 
 @dataclass(frozen=True)
@@ -136,10 +134,7 @@ def _condition_warnings(ev: FamilyEvaluator) -> list[str]:
         if gaps and min(gaps) < 10.0 * dec.cluster_tol:
             out.append(WARN_NEAR_DEGENERATE)
             break
-    for side in (ev.out, ev.env):
-        if not side.full and not side.kernel_block_psd():
-            out.append(f"{WARN_KERNEL_PSD}:{side.name}")
-    return out
+    return out + _kernel_warnings(ev)
 
 
 def check_criterion1(
@@ -148,13 +143,9 @@ def check_criterion1(
     sense: str = "positive_f",
     tol: Tolerances = DEFAULT,
 ) -> CriterionReport:
-    """First-order kernel-splitting test.
-
-    Applicable when at least one channel output is rank deficient.  Compares
-    the kernel traces of the first-order direction on the two sides; a
-    winning output side makes the first derivative of ``f`` diverge with the
-    requested sign.
-    """
+    """First-order kernel-splitting test, for an output rank deficient: a
+    winning output-side kernel trace makes ``f'`` diverge with the requested
+    sign (:meth:`~cohpert.perturbation.FamilyEvaluator.comparison`)."""
     return _criterion(FamilyEvaluator(ch, fam, tol), "C1", sense)
 
 
@@ -164,13 +155,9 @@ def check_criterion2(
     sense: str = "positive_f",
     tol: Tolerances = DEFAULT,
 ) -> CriterionReport:
-    """Second-order kernel-splitting test.
-
-    Applicable when at least one output is rank deficient.  Requires every
-    per-cluster first-order trace on both sides to vanish; then compares the
-    second-order kernel terms (``w0_trace``; a full-rank side contributes
-    zero).
-    """
+    """Second-order kernel-splitting test, for an output rank deficient and
+    every cluster trace zero: compares the ``w0_trace`` terms, a full-rank
+    side contributing zero."""
     return _criterion(FamilyEvaluator(ch, fam, tol), "C2", sense)
 
 
@@ -180,76 +167,36 @@ def check_criterion3(
     sense: str = "positive_f",
     tol: Tolerances = DEFAULT,
 ) -> CriterionReport:
-    """Second-order test for the case where both outputs are full rank.
-
-    Requires the first-order log traces of the two sides to agree (which
-    pins the first derivative of ``f`` to zero), then compares the full
-    second-derivative combinations
-    ``2 tr(M(A2) ln M(rho)) + tr(W_M)`` of the two sides.  When the
-    second-order log terms are negligible this reduces to the plain
-    ``tr(W)`` comparison and the report is labeled ``C3``; otherwise it is
-    labeled ``THM2_FULL2``.
-    """
+    """Second-order test with both outputs full rank and equal first-order
+    log traces: compares ``tr(W_M) + 2 tr(M(A2) ln M(rho))`` of the two
+    sides, labeled ``THM2_FULL2`` when the ``A2`` log terms are not negligible."""
     return _criterion(FamilyEvaluator(ch, fam, tol), "C3", sense)
 
 
 def _criterion(ev: FamilyEvaluator, name: str, sense: str) -> CriterionReport:
-    """Criterion ``name`` (one of :data:`CRITERIA`) on one evaluator.
-
-    C1 and C2 apply when an output is rank deficient, C3 when both are full
-    rank.  Each criterion has a first-order precondition, recorded in
-    ``first_order_checks``, and a decisive pair of traces: the kernel traces
-    (C1), the second-order kernel terms ``w0`` (C2), or ``w + 2 tr(A2 ln .)``
-    (C3).  ``first`` is the trace that must win for ``f`` to rise; the
-    negative sense swaps the pair, so firing always means ``lhs > rhs``.  A
-    violated precondition fails the report; otherwise it fires when the
-    margin clears ``decision_tol``.
-    """
+    """Criterion ``name`` on one evaluator, from the traces of
+    :meth:`FamilyEvaluator.comparison`.  The negative sense swaps the pair,
+    so firing always means ``lhs > rhs``: a report fires when its
+    precondition holds and the margin clears ``decision_tol``."""
     if sense not in SENSES:
         raise ValueError(f"sense must be one of {SENSES}, got {sense!r}")
-    if name not in CRITERIA:
-        raise ValueError(f"unknown criterion {name!r}; expected one of C1, C2, C3")
-    tol, out, env = ev.tol, ev.out, ev.env
-    if (out.full and env.full) != (name == "C3"):
+    comparison = ev.comparison(name)
+    if comparison is None:
         return CriterionReport(name, sense, "inapplicable", 0.0, 0.0, 0.0)
-
-    label, checks, violated = name, (), ""
-    if name == "C1":
-        first, second = out.kernel_trace(), env.kernel_trace()
-    elif name == "C2":
-        checks = tuple(
-            (f"{side.name}[{i}]", value)
-            for side in (out, env)
-            for i, value in enumerate(side.cluster_traces())
-        )
-        violated = ",".join(n for n, value in checks if abs(value) > tol.first_order_tol)
-        first = 0.0 if out.full else out.w0()
-        second = 0.0 if env.full else env.w0()
-    else:
-        t1_out, t1_env = out.log_trace(out.a1), env.log_trace(env.a1)
-        t2_out, t2_env = out.log_trace(out.a2), env.log_trace(env.a2)
-        if max(abs(t2_out), abs(t2_env)) > tol.first_order_tol:
-            label = "THM2_FULL2"
-        checks = (("out[log_a1]", t1_out), ("env[log_a1]", t1_env))
-        if abs(t1_out - t1_env) > tol.first_order_tol:
-            violated = "log_a1"
-        # firing in the positive sense needs the environment side to dominate:
-        # f''(0) = (env side) - (out side) in natural-log units
-        first, second = env.w() + 2.0 * t2_env, out.w() + 2.0 * t2_out
-
+    first, second = comparison.first, comparison.second
     lhs, rhs = (first, second) if sense == "positive_f" else (second, first)
     margin = lhs - rhs
     warnings = _condition_warnings(ev)
-    if violated:
-        warnings.append(WARN_FIRST_ORDER_VIOLATED + ":" + violated)
+    if comparison.violated:
+        warnings.append(WARN_FIRST_ORDER_VIOLATED + ":" + comparison.violated)
         verdict = "fails"
     else:
-        verdict = "fires" if margin > tol.decision_tol else "fails"
-        if 0.0 < margin <= tol.decision_tol:
+        verdict = "fires" if margin > ev.tol.decision_tol else "fails"
+        if 0.0 < margin <= ev.tol.decision_tol:
             warnings.append(WARN_NEAR_ZERO_MARGIN)
     return CriterionReport(
-        label, sense, verdict, lhs, rhs, margin,
-        first_order_checks=checks, warnings=tuple(warnings),
+        comparison.label, sense, verdict, lhs, rhs, margin,
+        first_order_checks=comparison.checks, warnings=tuple(warnings),
     )
 
 
@@ -260,17 +207,16 @@ def classify_first_order(
 ) -> CriterionReport:
     """Full-rank first-derivative test: fires when ``f'(0) > 0``.
 
-    Compares the first-order log traces of the two full-rank outputs; the
-    margin equals ``f'(0)`` in natural-log units.  At a tensor product of
-    optimal states (with all single-channel outputs full rank) this can
-    never fire: the first derivative is non-positive for every traceless
-    direction.
+    Compares C3's first-order pair, the ``tr(A1 ln .)`` traces of the two
+    full-rank outputs; the margin equals ``f'(0)`` in natural-log units.  At
+    a tensor product of optimal states (with all single-channel outputs
+    full rank) this can never fire: the first derivative is non-positive
+    for every traceless direction.
     """
-    ev = FamilyEvaluator(ch, fam, tol)
-    if not (ev.out.full and ev.env.full):
+    c3 = FamilyEvaluator(ch, fam, tol).comparison("C3")
+    if c3 is None:
         raise RankCaseError("first-order classification needs both outputs full rank")
-    t1_out = ev.out.log_trace(ev.out.a1)
-    t1_env = ev.env.log_trace(ev.env.a1)
+    (_, t1_out), (_, t1_env) = c3.checks
     margin = t1_env - t1_out
     verdict = "fires" if margin > tol.decision_tol else "fails"
     return CriterionReport("THM1_FULLRANK", "positive_f", verdict, t1_env, t1_out, margin)
@@ -481,14 +427,17 @@ def complement_line_witness(
     Searches mixing lines between two orthogonal pure states in each listed
     basis, each by :func:`~cohpert.perturbation.section_maximize` on one
     evaluator, and returns ``(state, value_bits, basis)`` for the largest
-    ``I_c(state, complement(ch))`` found.
+    ``I_c(state, complement(ch))`` found.  That is ``-I_c(state, ch)``,
+    since the complement swaps the roles of output and environment, so each
+    line is searched on an evaluator of ``ch`` itself.
     """
-    comp = complement(ch)
     lines = []
     for basis in bases:
         fam = basis_line(ch.dim_in, basis)
-        ev = FamilyEvaluator(comp, fam, tol)
-        lines.append((*section_maximize(ev.coherent_information, 0.0, 1.0, param_tol), fam, basis))
+        ev = FamilyEvaluator(ch, fam, tol)
+        # 0.0 - x rather than -x, so that a zero value stays +0.0
+        line_max = section_maximize(lambda u: 0.0 - ev.coherent_information(u), 0.0, 1.0, param_tol)
+        lines.append((*line_max, fam, basis))
     # the first basis wins ties
     u_star, value, fam, basis = max(lines, key=lambda line: line[1])
     return state_at(fam, u_star, tol), value, basis
@@ -513,14 +462,7 @@ def detect_private_gap_via_complement(
 
     # the decisive quantity doubles as a degenerate criterion report
     verdict = "fires" if value > tol.numeric_margin else "fails"
-    report = CriterionReport(
-        criterion="COMPLEMENT_IC",
-        sense="negative_f",
-        verdict=verdict,
-        lhs=value,
-        rhs=0.0,
-        margin=value,
-    )
+    report = CriterionReport("COMPLEMENT_IC", "negative_f", verdict, value, 0.0, value)
     notes = [f"line-search basis: {basis}"]
     if verdict == "fires" and r_bar > r_tol:
         conclusion = "gap_detected"

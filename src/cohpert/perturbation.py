@@ -6,8 +6,9 @@ quantities that control the first and second derivatives of the output
 entropies, classifies the full-rank / rank-deficient cases, and provides
 exact ``f(eps)`` evaluation plus an independent finite-difference oracle.
 :class:`FamilyEvaluator` holds the channel images and spectra of one
-(channel, family) pair, so that each is computed once; the line searches
-for optimal states run on one evaluator per line.
+(channel, family) pair, so that each is computed once, and the one table of
+the traces each criterion compares, which :func:`derivative_profile` and the
+criteria read; the line searches run on one evaluator per line.
 
 Internally every logarithm here is natural: the trace formulas below are
 derivatives of the natural-log entropy.  Finite derivative values are
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -61,8 +62,9 @@ RANK_BOTH_FULL = "both_full"
 RANK_ONE_DEFICIENT = "one_deficient"
 RANK_BOTH_DEFICIENT = "both_deficient"
 
-WARN_KERNEL_PSD_OUT = "kernel_block_of_output_direction_not_psd"
-WARN_KERNEL_PSD_ENV = "kernel_block_of_environment_direction_not_psd"
+CRITERIA = ("C1", "C2", "C3")
+
+WARN_KERNEL_PSD = "kernel_block_not_psd"
 WARN_FIRST_ORDER_CANCEL = "kernel_log_terms_cancel_with_nonzero_splitting"
 WARN_SECOND_ORDER_CANCEL = "second_order_log_terms_cancel"
 
@@ -328,17 +330,39 @@ class _Side:
         block = self.b1[np.ix_(self.ker, self.ker)]
         return not block.size or float(np.linalg.eigvalsh(block)[0]) >= -1e-9
 
-    def log_trace(self, b: np.ndarray) -> float:
-        """:func:`log_weighted_trace` of ``b`` at the base image."""
-        return log_weighted_trace(self.dec, b, self.tol)
+    # full-rank traces are None on a deficient base image; w0 is 0.0 on a full one
 
-    def w(self) -> float:
-        """:func:`w_trace` of ``B1`` at the base image."""
-        return w_trace(self.dec, self.a1, self.tol)
+    @cached_property
+    def log_a1(self) -> float | None:
+        return log_weighted_trace(self.dec, self.a1, self.tol) if self.full else None
 
+    @cached_property
+    def log_a2(self) -> float | None:
+        return log_weighted_trace(self.dec, self.a2, self.tol) if self.full else None
+
+    @cached_property
+    def w(self) -> float | None:
+        return w_trace(self.dec, self.a1, self.tol) if self.full else None
+
+    @cached_property
     def w0(self) -> float:
-        """:func:`w0_trace` of ``B1`` and ``B2`` at the base image."""
-        return w0_trace(self.dec, self.a1, self.a2, self.tol)
+        return 0.0 if self.full else w0_trace(self.dec, self.a1, self.a2, self.tol)
+
+
+class _Comparison(NamedTuple):
+    """The traces one criterion compares, ``f`` rising when ``first`` wins;
+    ``violated`` names, comma-separated, the first-order ``checks`` that
+    fail the criterion's precondition."""
+
+    label: str
+    first: float
+    second: float
+    checks: tuple[tuple[str, float], ...] = ()
+    violated: str = ""
+
+    @property
+    def margin(self) -> float:
+        return self.first - self.second
 
 
 class FamilyEvaluator:
@@ -367,6 +391,35 @@ class FamilyEvaluator:
         if self.out.full or self.env.full:
             return RANK_ONE_DEFICIENT
         return RANK_BOTH_DEFICIENT
+
+    def comparison(self, name: str) -> _Comparison | None:
+        """The traces criterion ``name`` (one of :data:`CRITERIA`) compares,
+        or ``None`` outside its rank case; the criteria and
+        :func:`derivative_profile` read their comparisons here.
+
+        C1 (an output rank deficient) compares the kernel traces.  C2 (the
+        same rank case) needs every cluster trace to vanish and compares the
+        ``w0`` terms.  C3 (both outputs full rank) needs the ``tr(A1 ln .)``
+        traces to agree and compares ``w + 2 tr(A2 ln .)``, environment side
+        first, labeled ``THM2_FULL2`` when a ``tr(A2 ln .)`` trace is not
+        negligible (above ``first_order_tol``)."""
+        if name not in CRITERIA:
+            raise ValueError(f"unknown criterion {name!r}; expected one of C1, C2, C3")
+        tol, out, env = self.tol, self.out, self.env
+        if (out.full and env.full) != (name == "C3"):
+            return None
+        if name == "C1":
+            return _Comparison(name, out.kernel_trace(), env.kernel_trace())
+        if name == "C2":
+            checks = tuple((f"{side.name}[{i}]", value) for side in (out, env)
+                           for i, value in enumerate(side.cluster_traces()))
+            violated = ",".join(n for n, value in checks if abs(value) > tol.first_order_tol)
+            return _Comparison(name, out.w0, env.w0, checks, violated)
+        label = "THM2_FULL2" if max(abs(out.log_a2), abs(env.log_a2)) > tol.first_order_tol else name
+        checks = (("out[log_a1]", out.log_a1), ("env[log_a1]", env.log_a1))
+        violated = "log_a1" if abs(out.log_a1 - env.log_a1) > tol.first_order_tol else ""
+        # f''(0) = (env side) - (out side) in natural-log units
+        return _Comparison(label, env.w + 2.0 * env.log_a2, out.w + 2.0 * out.log_a2, checks, violated)
 
     def coherent_information(self, eps: Sequence[float]) -> np.ndarray:
         """``I_c(rho(eps))`` in bits at each ``eps``.
@@ -467,6 +520,16 @@ def optimal_line_search(
     return fam.base, InfoValue(0.0, frozenset({FLAG_LINE_MAX_NONPOSITIVE}))
 
 
+def _infinity(value: float) -> str:
+    return POSITIVE_INFINITY if value > 0 else NEGATIVE_INFINITY
+
+
+def _kernel_warnings(ev: FamilyEvaluator) -> list[str]:
+    """``kernel_block_not_psd:<side>`` for each rank-deficient side whose
+    kernel block fails :meth:`_Side.kernel_block_psd`."""
+    return [f"{WARN_KERNEL_PSD}:{s.name}" for s in (ev.out, ev.env) if not (s.full or s.kernel_block_psd())]
+
+
 def derivative_profile(
     ch: QuantumChannel,
     fam: PerturbationFamily,
@@ -474,104 +537,66 @@ def derivative_profile(
 ) -> DerivativeProfile:
     """Classify the rank case and assemble every derivative-controlling trace.
 
-    The output and environment sides are treated symmetrically: a full-rank
-    side contributes finite log traces and a ``w_trace``; a rank-deficient
-    side contributes kernel traces whose signs decide divergence.  For the
-    divergent cases the dominating term is identified (``log`` for a
-    ``log(eps)`` blow-up of the derivative in question, ``inverse`` for
-    ``1/eps``).
+    A view of the criteria's comparisons (:meth:`FamilyEvaluator.comparison`)
+    at the same tolerances.  With both outputs full rank, ``ln 2 * f'(0+)``
+    and ``ln 2 * f''(0+)`` are the margins of ``classify_first_order`` and
+    of C3.  Otherwise ``f'`` diverges (``log``, and ``f''`` the other way
+    like ``1/eps``: ``inverse``) exactly when C1 fires, cut at
+    ``decision_tol``; failing that, when C2's first-order traces vanish,
+    ``f'(0+) = 0`` and ``f''`` diverges (``log``) exactly when C2 fires.
     """
-    first_order_tol, decision_tol = tol.first_order_tol, tol.decision_tol
     ev = FamilyEvaluator(ch, fam, tol)
     out, env = ev.out, ev.env
-    rank_case = ev.rank_case
-    cluster_out = out.cluster_traces()
-    cluster_env = env.cluster_traces()
-
-    warnings: list[str] = []
     terms: dict[str, float | None] = {
-        "kernel_trace_out": out.kernel_trace(),
-        "kernel_trace_env": env.kernel_trace(),
-        "log_trace_a1_out": None,
-        "log_trace_a1_env": None,
-        "log_trace_a2_out": None,
-        "log_trace_a2_env": None,
-        "w_out": None,
-        "w_env": None,
-        "w0_out": 0.0,
-        "w0_env": 0.0,
+        f"{key}_{side.name}": value
+        for side in (out, env)
+        for key, value in (("kernel_trace", side.kernel_trace()), ("log_trace_a1", side.log_a1),
+                           ("log_trace_a2", side.log_a2), ("w", side.w), ("w0", side.w0))
     }
-    for side, warning in ((out, WARN_KERNEL_PSD_OUT), (env, WARN_KERNEL_PSD_ENV)):
-        if side.full:
-            terms[f"log_trace_a1_{side.name}"] = side.log_trace(side.a1)
-            terms[f"log_trace_a2_{side.name}"] = side.log_trace(side.a2)
-            terms[f"w_{side.name}"] = side.w()
-        else:
-            terms[f"w0_{side.name}"] = side.w0()
-            if not side.kernel_block_psd():
-                warnings.append(warning)
+    warnings = _kernel_warnings(ev)
+    fprime0: DerivativeValue = None
+    fsecond0: DerivativeValue = None
+    fprime0_div = fsecond0_div = None
 
-    fprime0: DerivativeValue
-    fsecond0: DerivativeValue
-    fprime0_div = None
-    fsecond0_div = None
-
-    if rank_case == RANK_BOTH_FULL:
-        fprime0 = (-terms["log_trace_a1_out"] + terms["log_trace_a1_env"]) / LN2
-        fsecond0 = (
-            terms["w_env"] + 2.0 * terms["log_trace_a2_env"]
-            - terms["w_out"] - 2.0 * terms["log_trace_a2_out"]
-        ) / LN2
+    if ev.rank_case == RANK_BOTH_FULL:
+        c3 = ev.comparison("C3")
+        (_, t1_out), (_, t1_env) = c3.checks
+        fprime0, fsecond0 = (t1_env - t1_out) / LN2, c3.margin / LN2
     else:
-        c_out = terms["kernel_trace_out"]
-        c_env = terms["kernel_trace_env"]
-        gap = c_out - c_env
-        if abs(gap) > first_order_tol:
+        c1, c2 = ev.comparison("C1"), ev.comparison("C2")
+        if abs(c1.margin) > tol.decision_tol:
             # the kernel-splitting log(eps) term dominates f'; the matching
             # 1/eps term dominates f'' with the opposite sign
-            fprime0 = POSITIVE_INFINITY if gap > 0 else NEGATIVE_INFINITY
-            fprime0_div = "log"
-            fsecond0 = NEGATIVE_INFINITY if gap > 0 else POSITIVE_INFINITY
-            fsecond0_div = "inverse"
-        elif all(abs(t) <= first_order_tol for t in cluster_out + cluster_env):
+            fprime0, fsecond0 = _infinity(c1.margin), _infinity(-c1.margin)
+            fprime0_div, fsecond0_div = "log", "inverse"
+        elif not c2.violated:
             fprime0 = 0.0
-            second_gap = terms["w0_out"] - terms["w0_env"]
-            if abs(second_gap) > decision_tol:
-                fsecond0 = POSITIVE_INFINITY if second_gap > 0 else NEGATIVE_INFINITY
-                fsecond0_div = "log"
+            if abs(c2.margin) > tol.decision_tol:
+                fsecond0, fsecond0_div = _infinity(c2.margin), "log"
             else:
-                fsecond0 = None
                 warnings.append(WARN_SECOND_ORDER_CANCEL)
-        elif (
-            max(abs(c_out), abs(c_env)) <= first_order_tol
-            and WARN_KERNEL_PSD_OUT not in warnings
-            and WARN_KERNEL_PSD_ENV not in warnings
-        ):
-            # kernel blocks vanish at first order (a zero trace of a PSD
-            # block forces the block itself to zero), so the kernel only
-            # splits at second order and the first derivative is finite,
-            # driven by the strictly positive part of both spectra
+        elif max(abs(c1.first), abs(c1.second)) <= tol.first_order_tol and not warnings:
+            # no kernel_block_not_psd warning, so the kernel blocks vanish at
+            # first order (a zero trace of a PSD block forces the block to zero),
+            # the kernel only splits at second order and the first derivative
+            # is finite, driven by the strictly positive part of both spectra
             t_out = _support_log_trace(out.dec, out.a1, tol)
             t_env = _support_log_trace(env.dec, env.a1, tol)
-            terms["log_trace_a1_out"] = t_out
-            terms["log_trace_a1_env"] = t_env
+            terms.update(log_trace_a1_out=t_out, log_trace_a1_env=t_env)
             fprime0 = (-t_out + t_env) / LN2
-            fsecond0 = None
             warnings.append(WARN_SECOND_ORDER_CANCEL)
         else:
-            fprime0 = None
-            fsecond0 = None
             warnings.append(WARN_FIRST_ORDER_CANCEL)
 
     return DerivativeProfile(
-        rank_case=rank_case,
+        rank_case=ev.rank_case,
         fprime0=fprime0,
         fsecond0=fsecond0,
         fprime0_divergence=fprime0_div,
         fsecond0_divergence=fsecond0_div,
         leading_terms=terms,
-        cluster_traces_out=cluster_out,
-        cluster_traces_env=cluster_env,
+        cluster_traces_out=out.cluster_traces(),
+        cluster_traces_env=env.cluster_traces(),
         warnings=tuple(warnings),
     )
 

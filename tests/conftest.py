@@ -30,8 +30,10 @@ def random_channel(rng, d_in, d_out, d_env):
     return make_channel([v[:, k, :] for k in range(d_env)])
 
 
-def random_density(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_density(rng, dim, rank=None):
+    """Random state of rank ``rank`` (full rank by default)."""
+    rank = dim if rank is None else rank
+    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     m = a @ a.conj().T
     return DensityMatrix.from_matrix(m / np.trace(m).real)
 

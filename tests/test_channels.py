@@ -243,6 +243,31 @@ def test_parameter_ranges_rejected():
         amplitude_damping_channel(-0.1)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"family": "identity", "params": {"dim": 2.5}},
+        {"family": "erasure", "params": {"q": 0.1, "dim": True}},
+        {"family": "identity", "params": {"dim": 0}},
+        {"family": "erasure", "params": {"q": 0.1, "dim": -2}},
+        {"family": "identity", "params": {"dim": "3"}},
+        {"family": "identity", "params": {"dim": float("inf")}},
+    ],
+)
+def test_builtin_rejects_dim_that_is_not_a_positive_integer(params):
+    with pytest.raises(ValueError, match="^parameter dim must be an integer of at least 1, got "):
+        channel_from_json(params)
+
+
+def test_builtin_keeps_whole_number_dim():
+    identity = channel_from_json({"family": "identity", "params": {"dim": 3.0}})
+    assert (identity.dim_in, identity.dim_out) == (3, 3)
+    assert identity.spec.params["dim"] == 3 and type(identity.spec.params["dim"]) is int
+    erasure = channel_from_json({"family": "erasure", "params": {"q": 0.1, "dim": 3}})
+    assert (erasure.dim_in, erasure.dim_out) == (3, 4)
+    assert erasure_channel(0.1, np.int64(2)).dim_out == 3
+
+
 def test_channel_spec_json_round_trip():
     spec = ChannelSpec(
         "tensor",

@@ -28,7 +28,8 @@ from cohpert import (
     threshold_scan,
 )
 from cohpert import PositivityError, admissible_radius, criteria
-from cohpert.criteria import default_witness_grid
+from cohpert.criteria import SENSES, _criterion, default_witness_grid
+from cohpert.perturbation import LN2, FamilyEvaluator, derivative_profile
 from cohpert.scenarios import platypus_ad_family, qubit_flip_family, two_qubit_tilt_family
 from conftest import loop_admissible_r, random_channel, random_density, random_pure, random_traceless
 
@@ -563,3 +564,67 @@ def test_detect_superadditivity_three_channels():
     report = detect_superadditivity(channels, states, fam)
     assert report.conclusion == "superadditive"
     assert report.criterion_report.criterion == "C2"
+
+
+# --- derivative profile as a view of the criteria --------------------------
+
+
+def _profile_cases():
+    """Seeded random Kraus channels on full-rank, pure and rank-deficient
+    bases, with first-order directions from 1e-5 to 2 in norm (kernel-trace
+    gaps on both sides of 1e-3 and of 0.5), plus two bases where the
+    first-order traces vanish so that C2 decides."""
+    rng = np.random.default_rng(1207)
+    cases = []
+    for d_in, d_out, d_env in ((2, 2, 2), (2, 3, 2), (3, 3, 2), (3, 2, 3)):
+        ch = random_channel(rng, d_in, d_out, d_env)
+        for rank in (d_in, 1, d_in - 1):
+            for scale in (1e-5, 0.2, 2.0):
+                base = random_density(rng, d_in, rank)
+                fam = PerturbationFamily.build(
+                    base, random_traceless(rng, d_in, scale), random_traceless(rng, d_in, 0.05)
+                )
+                cases.append((ch, fam))
+    cases.append((tensor(*platypus_damping_pair()), platypus_ad_family(0.3, 0.99)))
+    # first order inside the support, second order into the kernel: with a
+    # zero diagonal every cluster trace vanishes and C2 decides; with a
+    # diagonal the first derivative is finite
+    base = DensityMatrix.from_matrix(np.diag([0.6, 0.4, 0.0]))
+    a2 = HermitianOperator.from_matrix(np.diag([-0.8, 0.0, 0.8]))
+    for diagonal in (0.0, 0.1):
+        a1 = np.zeros((3, 3), dtype=complex)
+        a1[0, 0], a1[1, 1], a1[0, 1], a1[1, 0] = -diagonal, diagonal, 0.05, 0.05
+        fam = PerturbationFamily.build(base, HermitianOperator.from_matrix(a1), a2)
+        cases.append((identity_channel(3), fam))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [Tolerances(), Tolerances(decision_tol=0.5), Tolerances(first_order_tol=1e-3)],
+    ids=["default", "decision_tol=0.5", "first_order_tol=1e-3"],
+)
+def test_derivative_profile_diverges_exactly_when_a_criterion_fires(tol):
+    seen = set()
+    for ch, fam in _profile_cases():
+        profile = derivative_profile(ch, fam, tol)
+        ev = FamilyEvaluator(ch, fam, tol)
+        fires = {(name, sense): _criterion(ev, name, sense).fires
+                 for name in ("C1", "C2") for sense in SENSES}
+        c1 = fires["C1", "positive_f"] or fires["C1", "negative_f"]
+        assert (profile.fprime0 == "+inf") == fires["C1", "positive_f"]
+        assert (profile.fprime0 == "-inf") == fires["C1", "negative_f"]
+        # with C1 silent, f'' diverges like log(eps) exactly when C2 fires;
+        # a firing C1 makes its 1/eps term lead instead
+        log_second = profile.fsecond0_divergence == "log"
+        assert (log_second and profile.fsecond0 == "+inf") == (fires["C2", "positive_f"] and not c1)
+        assert (log_second and profile.fsecond0 == "-inf") == (fires["C2", "negative_f"] and not c1)
+        if profile.rank_case == "both_full":
+            c3 = _criterion(ev, "C3", "positive_f")
+            assert LN2 * profile.fsecond0 == pytest.approx(c3.margin, rel=1e-14, abs=0.0)
+            first = classify_first_order(ch, fam, tol)
+            assert LN2 * profile.fprime0 == pytest.approx(first.margin, rel=1e-14, abs=0.0)
+        seen.add((profile.rank_case, profile.fprime0_divergence, profile.fsecond0_divergence))
+    # the cases reach every branch the criteria decide
+    assert {("both_full", None, None), ("one_deficient", "log", "inverse")} <= seen
+    assert any(second == "log" for _, _, second in seen)

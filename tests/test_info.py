@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -303,15 +305,22 @@ def test_line_searches_build_one_complement_per_line(monkeypatch):
         return build(ch)
 
     monkeypatch.setattr(perturbation, "complement", counted)
-    monkeypatch.setattr(criteria, "complement", counted)
+    # patched in criteria too, so that a complement built there is counted
+    monkeypatch.setattr(criteria, "complement", counted, raising=False)
     ch = dephrasure_channel(0.1, 0.3)
     optimal_line_search(ch, "ad_diagonal")
     assert built == [ch]
     built.clear()
     complement_line_witness(ch, ("z", "x"))
-    # the complement itself, then one evaluator (one complement) per line
-    assert len(built) == 3
-    assert built[0] is ch and built[1] is built[2]
+    # one evaluator of ch itself, so one complement, per line
+    assert built == [ch, ch]
+
+
+def test_complement_line_witness_zero_value_is_positive_zero():
+    # at q = 0 the complement's line maximum is the pure endpoint's exact 0,
+    # which the dephrasure-gap CSV writes as "0"; a negative zero reads "-0"
+    _, value, _ = complement_line_witness(dephrasure_channel(0.1, 0.0))
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_line_search_amplitude_damping_at_half():

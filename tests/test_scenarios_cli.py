@@ -328,6 +328,9 @@ def test_cli_check_unknown_criterion_is_an_error(tmp_path, capsys):
         ({"family": "platypus", "params": {"s": "half"}}, "s"),
         ({"family": "pauli", "params": {"probs": None}}, "probs"),
         ({"family": "identity", "params": {"dim": None}}, "dim"),
+        ({"family": "identity", "params": {"dim": 2.5}}, "dim"),
+        ({"family": "erasure", "params": {"q": 0.1, "dim": True}}, "dim"),
+        ({"family": "identity", "params": {"dim": 0}}, "dim"),
     ],
 )
 def test_cli_check_non_numeric_channel_parameter_is_an_error(tmp_path, capsys, channel, name):
