@@ -67,8 +67,12 @@ class ChannelSpec:
         if family not in FAMILIES:
             raise ValueError(f"unknown channel family {family!r}; expected one of {FAMILIES}")
         params = obj.get("params", {}) or {}
-        children = tuple(cls.from_json(c) for c in obj.get("children", []) or [])
-        return cls(family=family, params=params, children=children)
+        if not isinstance(params, Mapping):
+            raise ValueError(f"channel params must be an object, got {params!r}")
+        children = obj.get("children", []) or []
+        if not isinstance(children, list):
+            raise ValueError(f"channel children must be a list, got {children!r}")
+        return cls(family=family, params=params, children=tuple(map(cls.from_json, children)))
 
 
 @dataclass(frozen=True)
@@ -161,16 +165,17 @@ def complement(ch: QuantumChannel) -> QuantumChannel:
     return make_channel(Ls, spec=comp_spec)
 
 
-def tensor(a: QuantumChannel, b: QuantumChannel, dim_cap: int = DEFAULT_DIM_CAP) -> QuantumChannel:
-    """Tensor product with Kraus set ``{K_i (x) M_j}``.
+def tensor(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
+    """Tensor product with Kraus set ``{K_i (x) M_j}``, its input and output
+    dimensions at most ``DEFAULT_DIM_CAP``.
 
     The environment index ordering is ``(i, j) -> i * b.dim_env + j``, so the
     complement of a tensor product equals the tensor product of complements
     up to that fixed relabeling.
     """
-    if a.dim_in * b.dim_in > dim_cap or a.dim_out * b.dim_out > dim_cap:
+    if a.dim_in * b.dim_in > DEFAULT_DIM_CAP or a.dim_out * b.dim_out > DEFAULT_DIM_CAP:
         raise DimensionError(
-            f"tensor product dimension exceeds cap {dim_cap}; "
+            f"tensor product dimension exceeds cap {DEFAULT_DIM_CAP}; "
             f"got in={a.dim_in * b.dim_in}, out={a.dim_out * b.dim_out}"
         )
     kraus = [np.kron(Ka, Kb) for Ka in a.kraus for Kb in b.kraus]
@@ -180,13 +185,13 @@ def tensor(a: QuantumChannel, b: QuantumChannel, dim_cap: int = DEFAULT_DIM_CAP)
     return make_channel(kraus, spec=spec)
 
 
-def tensor_all(channels: Sequence[QuantumChannel], dim_cap: int = DEFAULT_DIM_CAP) -> QuantumChannel:
+def tensor_all(channels: Sequence[QuantumChannel]) -> QuantumChannel:
     """Left-associated tensor product of several channels."""
     if not channels:
         raise ValueError("need at least one channel")
     out = channels[0]
     for ch in channels[1:]:
-        out = tensor(out, ch, dim_cap=dim_cap)
+        out = tensor(out, ch)
     return out
 
 
@@ -354,8 +359,10 @@ def builtin(spec: ChannelSpec) -> QuantumChannel:
     if family == "identity":
         return identity_channel(spec.params.get("dim", 2))
     if family == "custom_kraus":
-        kraus = [matrix_from_pairs(k) for k in _param(spec, "kraus")]
-        return make_channel(kraus, spec=spec)
+        kraus = _param(spec, "kraus")
+        if not isinstance(kraus, list):
+            raise ValueError(f"parameter kraus must be a list of matrices, got {kraus!r}")
+        return make_channel([matrix_from_pairs(k) for k in kraus], spec=spec)
     if family == "tensor":
         if len(spec.children) < 2:
             raise ValueError("tensor family needs at least two children")

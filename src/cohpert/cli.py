@@ -130,6 +130,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         if args.command == "check":
             obj = _load_json(args.config)
+            if not isinstance(obj, dict):
+                raise ValueError(f"check config must be a JSON object, got {obj!r}")
             for key in ("channel", "family", "criterion"):
                 if key not in obj:
                     raise SystemExit(f"config is missing field {key!r}")

@@ -39,6 +39,9 @@ from .tolerances import DEFAULT, Tolerances
 
 SENSES = ("positive_f", "negative_f")
 
+R_TOL = 1e-6
+"""Resolution of the ``r`` bisection; the gap detectors read ``r <= R_TOL`` as no ``r > 0``."""
+
 WARN_FIRST_ORDER_VIOLATED = "first_order_condition_violated"
 WARN_NEAR_ZERO_MARGIN = "margin_within_decision_tolerance"
 WARN_NEAR_DEGENERATE = "near_degenerate_clustering"
@@ -328,12 +331,7 @@ def detect_superadditivity(
     )
 
 
-def _largest_admissible_r(
-    sigma: DensityMatrix,
-    states: np.ndarray,
-    tol: Tolerances,
-    r_tol: float = 1e-6,
-) -> float:
+def _largest_admissible_r(sigma: DensityMatrix, states: np.ndarray, tol: Tolerances) -> float:
     """Largest ``r`` in (0, 1] with ``sigma - r * state`` PSD for every state
     in the stack ``states``, by bisection with one eigensolver call per probe.
     Each state's predicate is monotone in ``r``, so this is exactly the least
@@ -345,7 +343,7 @@ def _largest_admissible_r(
     if ok(1.0):
         return 1.0
     lo, hi = 0.0, 1.0
-    while hi - lo > r_tol:
+    while hi - lo > R_TOL:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid
@@ -360,7 +358,6 @@ def detect_private_gap(
     fam: PerturbationFamily,
     eps_grid: Sequence[float] | None = None,
     tol: Tolerances = DEFAULT,
-    r_tol: float = 1e-6,
 ) -> DetectorReport:
     """Detect a positive gap between one-shot private and quantum capacity.
 
@@ -383,7 +380,7 @@ def detect_private_gap(
     r_bar: float | None = None
     if eps_grid:
         r_bar = min(
-            _largest_admissible_r(sigma, stack, tol, r_tol)
+            _largest_admissible_r(sigma, stack, tol)
             for stack in state_stacks(fam, eps_grid, tol)
         )
 
@@ -392,7 +389,7 @@ def detect_private_gap(
     report = _decisive(reports)
     witness = _witness(ev, eps_grid, -1, notes)
 
-    if r_bar is None or r_bar <= r_tol:
+    if r_bar is None or r_bar <= R_TOL:
         conclusion = "inconclusive"
         notes.append("no admissible r > 0 keeps sigma - r * rho(eps) positive semidefinite")
     elif report.fires and witness is not None:
@@ -417,26 +414,24 @@ def detect_private_gap(
 
 
 def complement_line_witness(
-    ch: QuantumChannel,
-    bases: Sequence[str] = ("z", "x"),
-    param_tol: float = 1e-8,
-    tol: Tolerances = DEFAULT,
+    ch: QuantumChannel, tol: Tolerances = DEFAULT
 ) -> tuple[DensityMatrix, float, str]:
     """Best diagonal-line input for coherent information of the complement.
 
-    Searches mixing lines between two orthogonal pure states in each listed
-    basis, each by :func:`~cohpert.perturbation.section_maximize` on one
-    evaluator, and returns ``(state, value_bits, basis)`` for the largest
+    Searches the :func:`~cohpert.perturbation.basis_line` lines, ``z`` and
+    ``x`` for a qubit input and ``z`` otherwise, each by
+    :func:`~cohpert.perturbation.section_maximize` on one evaluator, and
+    returns ``(state, value_bits, basis)`` for the largest
     ``I_c(state, complement(ch))`` found.  That is ``-I_c(state, ch)``,
     since the complement swaps the roles of output and environment, so each
     line is searched on an evaluator of ``ch`` itself.
     """
     lines = []
-    for basis in bases:
+    for basis in ("z", "x") if ch.dim_in == 2 else ("z",):
         fam = basis_line(ch.dim_in, basis)
         ev = FamilyEvaluator(ch, fam, tol)
         # 0.0 - x rather than -x, so that a zero value stays +0.0
-        line_max = section_maximize(lambda u: 0.0 - ev.coherent_information(u), 0.0, 1.0, param_tol)
+        line_max = section_maximize(lambda u: 0.0 - ev.coherent_information(u), 0.0, 1.0)
         lines.append((*line_max, fam, basis))
     # the first basis wins ties
     u_star, value, fam, basis = max(lines, key=lambda line: line[1])
@@ -444,11 +439,7 @@ def complement_line_witness(
 
 
 def detect_private_gap_via_complement(
-    ch: QuantumChannel,
-    sigma: DensityMatrix,
-    bases: Sequence[str] = ("z", "x"),
-    tol: Tolerances = DEFAULT,
-    r_tol: float = 1e-6,
+    ch: QuantumChannel, sigma: DensityMatrix, tol: Tolerances = DEFAULT
 ) -> DetectorReport:
     """Shortcut gap detector through the complementary channel.
 
@@ -457,19 +448,19 @@ def detect_private_gap_via_complement(
     one-shot private capacity strictly exceeds the one-shot quantum
     capacity, with ``sigma`` caller-asserted optimal.
     """
-    state, value, basis = complement_line_witness(ch, bases, tol=tol)
-    r_bar = _largest_admissible_r(sigma, state.matrix[None], tol, r_tol)
+    state, value, basis = complement_line_witness(ch, tol)
+    r_bar = _largest_admissible_r(sigma, state.matrix[None], tol)
 
     # the decisive quantity doubles as a degenerate criterion report
     verdict = "fires" if value > tol.numeric_margin else "fails"
     report = CriterionReport("COMPLEMENT_IC", "negative_f", verdict, value, 0.0, value)
     notes = [f"line-search basis: {basis}"]
-    if verdict == "fires" and r_bar > r_tol:
+    if verdict == "fires" and r_bar > R_TOL:
         conclusion = "gap_detected"
         notes.append("a positive gap also implies positive private capacity of the complement")
     else:
         conclusion = "inconclusive"
-        if r_bar <= r_tol:
+        if r_bar <= R_TOL:
             notes.append("no admissible r > 0 keeps sigma - r * rho positive semidefinite")
     return DetectorReport(
         kind="private_gap",

@@ -16,7 +16,6 @@ from .errors import DimensionError, PositivityError
 from .linalg import DensityMatrix
 from .tolerances import DEFAULT, Tolerances
 
-FLAG_NEAR_KERNEL = "near_kernel_eigenvalue"
 FLAG_CLAMPED = "negative_eigenvalue_clamped"
 FLAG_LINE_MAX_NONPOSITIVE = "line_maximum_nonpositive"
 
@@ -58,10 +57,10 @@ class Ensemble:
         return DensityMatrix.from_matrix(acc)
 
 
-def _entropy_bits(eigenvalues: np.ndarray, kernel_tol: float) -> np.ndarray:
+def _entropy_bits(eigenvalues: np.ndarray) -> np.ndarray:
     """``-sum_i w_i log2 w_i`` over the last axis of clipped eigenvalues, with
-    those up to ``kernel_tol`` counted as zero; a stack row gets its own value."""
-    kept = np.where(eigenvalues > kernel_tol, eigenvalues, 1.0)
+    ``0 log 0 = 0``; a stack row gets its own value."""
+    kept = np.where(eigenvalues > 0.0, eigenvalues, 1.0)
     return -(kept * np.log2(kept)).sum(axis=-1)
 
 
@@ -69,20 +68,15 @@ def _spectrum_entropy(raw: np.ndarray, tol: Tolerances) -> InfoValue:
     """:func:`von_neumann_entropy` of a state with ascending eigenvalues ``raw``."""
     if raw[0] < -tol.psd_tol:
         raise PositivityError(f"eigenvalue {raw[0]:.3e} below -{tol.psd_tol:.1e}")
-    flags: set[str] = set()
-    if raw[0] < 0.0:
-        flags.add(FLAG_CLAMPED)
-    clipped = np.clip(raw, 0.0, None)
-    if np.any((clipped > 0.0) & (clipped <= tol.kernel_tol)):
-        flags.add(FLAG_NEAR_KERNEL)
-    return InfoValue(float(_entropy_bits(clipped, tol.kernel_tol)), frozenset(flags))
+    flags = frozenset({FLAG_CLAMPED} if raw[0] < 0.0 else ())
+    return InfoValue(float(_entropy_bits(np.clip(raw, 0.0, None))), flags)
 
 
 def von_neumann_entropy(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> InfoValue:
     """Entropy ``-sum_i w_i log2 w_i`` with the continuous ``0 log 0 = 0`` rule.
 
     Eigenvalues in ``[-tol.psd_tol, 0)`` are clamped to zero (flagged);
-    eigenvalues in ``(0, tol.kernel_tol]`` contribute zero (flagged).
+    every positive eigenvalue contributes, however small.
     """
     return _spectrum_entropy(np.linalg.eigvalsh(rho.matrix), tol)
 

@@ -26,8 +26,8 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .channels import QuantumChannel, apply_matrix, complement
-from .errors import DimensionError, RankCaseError
-from .info import FLAG_LINE_MAX_NONPOSITIVE, InfoValue, _entropy_bits, coherent_information
+from .errors import RankCaseError
+from .info import FLAG_LINE_MAX_NONPOSITIVE, InfoValue, _entropy_bits
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
@@ -46,6 +46,7 @@ DIVERGENT = "divergent"
 DerivativeValue = Union[float, str, None]
 
 DEFAULT_FD_STEPS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
+"""Halving steps of :func:`fd_derivatives`, largest first."""
 
 STACK_ENTRIES = 2 ** 12
 """Complex entries (64 KiB) in one stacked ``eigvalsh`` call along a family:
@@ -54,9 +55,19 @@ least one), so peak memory does not grow with the grid."""
 
 SECTION_POINTS = 16
 """Interior points per round of :func:`section_maximize`; a round keeps 2 of
-its 17 cells, so a unit bracket shrinks to 1e-8 in at most 9 rounds."""
+its 17 cells, so a unit bracket shrinks to ``PARAM_TOL`` in at most 9 rounds."""
 
-LINE_FAMILIES = ("ad_diagonal", "platypus_diagonal", "fixed_maximally_mixed")
+PARAM_TOL = 1e-8
+"""Bracket width at which :func:`section_maximize` stops."""
+
+RADIUS_GRID_POINTS = 64
+"""Grid points on (0, 1] that :func:`admissible_radius` scans first."""
+
+RADIUS_TOL = 1e-6
+"""Width to which :func:`admissible_radius` bisects the boundary."""
+
+DIVERGENCE_TOL = 1e-7
+"""Refinement increment below which :func:`fd_derivatives` calls an estimate converged."""
 
 RANK_BOTH_FULL = "both_full"
 RANK_ONE_DEFICIENT = "one_deficient"
@@ -126,17 +137,12 @@ def _line_stacks(
         yield base + e * a1 + (e * e) * a2
 
 
-def admissible_radius(
-    fam: PerturbationFamily,
-    tol: Tolerances = DEFAULT,
-    grid_points: int = 64,
-    radius_tol: float = 1e-6,
-) -> float:
+def admissible_radius(fam: PerturbationFamily, tol: Tolerances = DEFAULT) -> float:
     """Largest certified ``eps`` in (0, 1] keeping ``rho(eps)`` a state.
 
     Scans a refinement grid, in stacked eigensolver calls, for the first
     failure of positive semidefiniteness, then bisects the boundary to
-    ``radius_tol``.  Returns 1.0 (capped) when the whole grid passes and 0.0
+    ``RADIUS_TOL``.  Returns 1.0 (capped) when the whole grid passes and 0.0
     when even ``eps = 1e-9`` fails.
     """
 
@@ -145,7 +151,7 @@ def admissible_radius(
 
     if not ok(1e-9):
         return 0.0
-    grid = np.linspace(0.0, 1.0, grid_points + 1)[1:]
+    grid = np.linspace(0.0, 1.0, RADIUS_GRID_POINTS + 1)[1:]
     stacks = _line_stacks(fam.base.matrix, fam.a1.matrix, fam.a2.matrix, grid)
     bad = np.flatnonzero(
         np.concatenate([np.linalg.eigvalsh(stack)[:, 0] for stack in stacks]) < -tol.psd_tol
@@ -155,7 +161,7 @@ def admissible_radius(
     first = int(bad[0])
     lo = float(grid[first - 1]) if first else 1e-9
     hi = float(grid[first])
-    while hi - lo > radius_tol:
+    while hi - lo > RADIUS_TOL:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid
@@ -325,10 +331,10 @@ class _Side:
         return tuple(map(float, np.add.reduceat(np.diagonal(self.b1).real, starts)))
 
     def kernel_block_psd(self) -> bool:
-        """Whether ``P0 B1 P0`` is positive semidefinite within 1e-9; the
-        kernel-splitting analysis assumes it is."""
+        """Whether the first-order block ``P0 B1 P0`` is PSD within
+        ``first_order_tol``; the kernel-splitting analysis assumes it is."""
         block = self.b1[np.ix_(self.ker, self.ker)]
-        return not block.size or float(np.linalg.eigvalsh(block)[0]) >= -1e-9
+        return not block.size or float(np.linalg.eigvalsh(block)[0]) >= -self.tol.first_order_tol
 
     # full-rank traces are None on a deficient base image; w0 is 0.0 on a full one
 
@@ -374,8 +380,9 @@ class FamilyEvaluator:
     :func:`derivative_profile` and the detectors read their traces from
     here.  ``f(eps)`` over a whole grid follows from linearity,
     ``N(rho(eps)) = N(rho) + eps N(A1) + eps^2 N(A2)``, in one stacked
-    eigensolver call per side and chunk.  Every rank decision, state check
-    and entropy here uses the tolerances ``tol``.
+    eigensolver call per side and chunk.  Every rank decision and state
+    check here uses the tolerances ``tol``; the entropies are continuous and
+    read no tolerance.
     """
 
     def __init__(self, ch: QuantumChannel, fam: PerturbationFamily, tol: Tolerances = DEFAULT):
@@ -427,15 +434,16 @@ class FamilyEvaluator:
         Makes the checks that :func:`state_at` and
         :func:`~cohpert.info.coherent_information` make at one point, at the
         same tolerances and with the same exceptions: ``rho(eps)`` and both
-        images must be states, round-off negatives are clamped and
-        eigenvalues up to ``tol.kernel_tol`` count as zero.
+        images must be states and round-off negatives are clamped; every
+        positive eigenvalue enters the entropy, as in
+        :func:`~cohpert.info.von_neumann_entropy`.
         """
         tol = self.tol
         eps = np.asarray(eps, dtype=float)
         state_stacks(self.family, eps, tol)
         out, env = (
             np.concatenate([np.empty(0)] + [
-                _entropy_bits(np.clip(state_spectra(stack, tol), 0.0, None), tol.kernel_tol)
+                _entropy_bits(np.clip(state_spectra(stack, tol), 0.0, None))
                 for stack in _line_stacks(side.state, side.a1, side.a2, eps)
             ])
             for side in (self.out, self.env)
@@ -463,10 +471,7 @@ def basis_line(dim: int, basis: str) -> PerturbationFamily:
 
 
 def section_maximize(
-    fn: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    param_tol: float = 1e-8,
+    fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
 ) -> tuple[float, float]:
     """``(argmax, value)`` of ``fn``, which maps an array of parameters to
     their values, on ``[lo, hi]``.
@@ -474,6 +479,7 @@ def section_maximize(
     Each round evaluates ``fn`` once, on the bracket's ends and
     ``SECTION_POINTS`` evenly spaced points between them, and keeps the two
     cells around the first maximum, so that ties go to the smaller parameter.
+    It stops before sampling a bracket of width ``PARAM_TOL`` or less.
     """
     a, b = float(lo), float(hi)
     while True:
@@ -481,39 +487,22 @@ def section_maximize(
         values = fn(u)
         k = int(np.argmax(values))
         a, b = float(u[max(k - 1, 0)]), float(u[min(k + 1, SECTION_POINTS + 1)])
-        # stop before sampling a bracket of width param_tol or less: near a pure
-        # end of a line, finer points reach eigenvalues of order kernel_tol,
-        # whose cut in the entropy can shift I_c by a few 1e-9 bits
-        if b - a <= param_tol:
+        if b - a <= PARAM_TOL:
             return float(u[k]), float(values[k])
 
 
 def optimal_line_search(
-    ch: QuantumChannel,
-    family: str,
-    param_tol: float = 1e-8,
-    tol: Tolerances = DEFAULT,
+    ch: QuantumChannel, tol: Tolerances = DEFAULT
 ) -> tuple[DensityMatrix, InfoValue]:
-    """Maximize coherent information along a named one-parameter input line.
+    """Maximize coherent information on the diagonal input line
+    ``(1-u)|0><0| + u|d-1><d-1|``, ``d = ch.dim_in`` (:func:`basis_line` ``"z"``).
 
-    ``ad_diagonal`` searches ``(1-u)|0><0| + u|1><1|`` on qubit inputs,
-    ``platypus_diagonal`` searches ``(1-u)|0><0| + u|2><2|`` on qutrit
-    inputs, and ``fixed_maximally_mixed`` evaluates the maximally mixed
-    state with no search.  The searched lines include pure endpoints, so
-    the line maximum is never negative; when no interior point beats the
-    endpoints the result is clamped to 0 and flagged.
+    The line has pure endpoints, so its maximum is never negative; when no
+    interior point beats the endpoints the result is clamped to 0 and flagged.
     """
-    if family not in LINE_FAMILIES:
-        raise ValueError(f"unknown line family {family!r}; expected one of {LINE_FAMILIES}")
-    if family == "fixed_maximally_mixed":
-        rho = DensityMatrix.maximally_mixed(ch.dim_in)
-        return rho, coherent_information(rho, ch, tol)
-    dim, kind = (2, "qubit") if family == "ad_diagonal" else (3, "qutrit")
-    if ch.dim_in != dim:
-        raise DimensionError(f"{family} needs a {kind} input, channel has dim_in={ch.dim_in}")
-    fam = basis_line(dim, "z")
+    fam = basis_line(ch.dim_in, "z")
     ev = FamilyEvaluator(ch, fam, tol)
-    u_star, value = section_maximize(ev.coherent_information, 0.0, 1.0, param_tol)
+    u_star, value = section_maximize(ev.coherent_information, 0.0, 1.0)
     if value > 0.0:
         return state_at(fam, u_star, tol), InfoValue(value)
     # no interior point beats the pure endpoint u = 0, whose I_c is exactly 0
@@ -615,56 +604,39 @@ def _richardson(values: Sequence[float], order: int) -> list[float]:
     ]
 
 
-def _looks_divergent(estimates: Sequence[float], abs_tol: float = 1e-7) -> bool:
+def _looks_divergent(estimates: Sequence[float]) -> bool:
     """Heuristic: differences between successive refinements must shrink.
 
     For a smooth limit the halving steps shrink the increments roughly
     geometrically; a ``log(eps)`` blow-up keeps them constant.
     """
     diffs = [abs(estimates[i + 1] - estimates[i]) for i in range(len(estimates) - 1)]
-    if len(diffs) < 2 or diffs[-1] <= abs_tol:
+    if diffs[-1] <= DIVERGENCE_TOL:
         return False
     return diffs[-1] > 0.75 * diffs[-2]
 
 
 def fd_derivatives(
-    ch: QuantumChannel,
-    fam: PerturbationFamily,
-    steps: Sequence[float] = DEFAULT_FD_STEPS,
+    ch: QuantumChannel, fam: PerturbationFamily
 ) -> tuple[DerivativeValue, DerivativeValue]:
     """One-sided finite-difference estimates of ``f'(0+)`` and ``f''(0+)`` in bits.
 
-    Uses forward differences over a halving step sequence with two levels of
-    Richardson extrapolation.  Intended for the cases with finite limits;
-    when the raw estimates keep drifting (a ``log(eps)`` divergence) the
-    corresponding entry is the marker ``"divergent"`` instead of a number.
+    Uses forward differences over the halving steps ``DEFAULT_FD_STEPS``
+    with two levels of Richardson extrapolation.  Intended for the cases
+    with finite limits; when the raw estimates keep drifting (a ``log(eps)``
+    divergence) the corresponding entry is the marker ``"divergent"``
+    instead of a number.
     """
-    steps = sorted(float(h) for h in steps)
-    if len(steps) < 4:
-        raise ValueError("need at least four steps for two Richardson levels")
-    for small, big in zip(steps, steps[1:]):
-        if abs(big / small - 2.0) > 1e-9:
-            raise ValueError("steps must halve between refinements")
-    steps = list(reversed(steps))  # largest first
+    steps = DEFAULT_FD_STEPS
     f_vals = dict(zip(steps, map(float, FamilyEvaluator(ch, fam).f_values(steps))))
 
     first_raw = [f_vals[h] / h for h in steps]
-    first: DerivativeValue
-    if _looks_divergent(first_raw):
-        first = DIVERGENT
-    else:
-        first = _richardson(_richardson(first_raw, 1), 2)[-1]
-
     second_raw = [
         (f_vals[big] - 2.0 * f_vals[small]) / (small * small)
         for big, small in zip(steps, steps[1:])
     ]
-    second: DerivativeValue
-    if _looks_divergent(second_raw):
-        second = DIVERGENT
-    else:
-        levels = _richardson(second_raw, 1)
-        if len(levels) >= 2:
-            levels = _richardson(levels, 2)
-        second = levels[-1]
+    first, second = (
+        DIVERGENT if _looks_divergent(raw) else _richardson(_richardson(raw, 1), 2)[-1]
+        for raw in (first_raw, second_raw)
+    )
     return first, second

@@ -358,7 +358,7 @@ def _scenario_platypus_ad(cfg: ScenarioConfig) -> dict:
             w_star = float(cfg.params["w"])
             state1 = state_at(basis_line(3, "z"), w_star, cfg.tol)
         else:
-            state1, _ = optimal_line_search(plat, "platypus_diagonal", tol=cfg.tol)
+            state1, _ = optimal_line_search(plat, cfg.tol)
             w_star = float(state1.matrix[2, 2].real)
         state2 = DensityMatrix.pure([1.0, 0.0])
         fam = platypus_ad_family(w_star, a)
@@ -395,8 +395,8 @@ def _scenario_dephrasure_gap(cfg: ScenarioConfig) -> dict:
 
     def row(q: float) -> dict:
         ch = dephrasure_channel(p, q)
-        sigma, primary = optimal_line_search(ch, "ad_diagonal", tol=cfg.tol)
-        detector = detect_private_gap_via_complement(ch, sigma, tol=cfg.tol)
+        sigma, primary = optimal_line_search(ch, cfg.tol)
+        detector = detect_private_gap_via_complement(ch, sigma, cfg.tol)
         return {
             "q": q,
             "ic_primary": primary.value,
@@ -434,7 +434,10 @@ def family_from_json(obj: Mapping, tol: Tolerances = DEFAULT) -> PerturbationFam
     a2 = None
     if obj.get("a2") is not None:
         a2 = HermitianOperator.from_matrix(matrix_from_pairs(obj["a2"]))
-    return PerturbationFamily.build(base, a1, a2, int(obj.get("max_order", 2)))
+    max_order = obj.get("max_order", 2)
+    if isinstance(max_order, bool) or not isinstance(max_order, int):
+        raise ValueError(f"max_order must be an integer, got {max_order!r}")
+    return PerturbationFamily.build(base, a1, a2, max_order)
 
 
 def run_custom(

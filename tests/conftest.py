@@ -191,10 +191,10 @@ def shannon_bits(probs):
     return total
 
 
-def compacted_entropy_bits(eigenvalues, kernel_tol):
+def compacted_entropy_bits(eigenvalues):
     """Reference entropy of one clipped spectrum: ``-sum w log2 w`` over the
-    eigenvalues above ``kernel_tol`` only."""
-    kept = eigenvalues[eigenvalues > kernel_tol]
+    positive eigenvalues only."""
+    kept = eigenvalues[eigenvalues > 0.0]
     return float(-(kept * np.log2(kept)).sum()) if kept.size else 0.0
 
 

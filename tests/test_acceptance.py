@@ -524,16 +524,16 @@ def test_criterion_10_dephrasure_region():
     beyond = dephrasure_channel(p, beyond_q)
 
     def primary_positive_inside():
-        _, value = optimal_line_search(inside, "ad_diagonal")
+        _, value = optimal_line_search(inside)
         return value.value > 0
 
     def complement_route_flag_inside():
-        sigma, _ = optimal_line_search(inside, "ad_diagonal")
+        sigma, _ = optimal_line_search(inside)
         report = detect_private_gap_via_complement(inside, sigma)
         return report.conclusion == "gap_detected" and report.criterion_report.lhs > 0
 
     def primary_flat_beyond():
-        _, value = optimal_line_search(beyond, "ad_diagonal")
+        _, value = optimal_line_search(beyond)
         return value.value <= 1e-6
 
     run_criterion(

@@ -191,7 +191,7 @@ def test_tensor_associativity_spectra(rng):
 def test_tensor_dimension_cap():
     ch = identity_channel(20)
     with pytest.raises(DimensionError):
-        tensor(ch, ch, dim_cap=256)
+        tensor(ch, ch)
 
 
 def test_platypus_relay_level():

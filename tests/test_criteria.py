@@ -281,8 +281,9 @@ def test_detect_private_gap_depolarizing(p):
 @pytest.mark.parametrize(
     "override, changed",
     [
-        # entropies cut at 1e-7 lose the witness at eps = 5.7e-8
-        ({"kernel_tol": 1e-7}, lambda report: report.numeric_confirmation is None),
+        # the output eigenvalue 0.05 joins the kernel: both outputs are rank
+        # deficient, C1 fails and C2 decides, failing too
+        ({"kernel_tol": 0.1}, lambda report: report.conclusion == "inconclusive"),
         # the PSD slack admits a slightly larger r-bar
         ({"psd_tol": 1e-6}, lambda report: report.admissible_r > 0.5),
         # the C1 margin of 0.147 no longer clears the decision margin
@@ -374,7 +375,7 @@ def test_detect_private_gap_requires_pure_base():
 
 def test_detect_private_gap_via_complement_dephrasure_inside_region():
     ch = dephrasure_channel(0.1, 0.3)
-    sigma, primary = optimal_line_search(ch, "ad_diagonal")
+    sigma, primary = optimal_line_search(ch)
     assert primary.value > 0
     report = detect_private_gap_via_complement(ch, sigma)
     assert report.conclusion == "gap_detected"
@@ -385,10 +386,19 @@ def test_detect_private_gap_via_complement_dephrasure_inside_region():
 def test_detect_private_gap_via_complement_outside_region():
     q = (1 - 0.2) ** 2 / (1 + (1 - 0.2) ** 2) + 0.02
     ch = dephrasure_channel(0.1, q)
-    sigma, primary = optimal_line_search(ch, "ad_diagonal")
+    sigma, primary = optimal_line_search(ch)
     assert primary.value <= 1e-6
     report = detect_private_gap_via_complement(ch, sigma)
     assert report.conclusion == "inconclusive"
+
+
+def test_detect_private_gap_via_complement_searches_the_z_line_of_a_qutrit():
+    # the x line needs a qubit input, so a qutrit channel searches the z line only
+    ch = platypus_channel(0.2)
+    sigma, _ = optimal_line_search(ch)
+    report = detect_private_gap_via_complement(ch, sigma)
+    assert report.notes[0] == "line-search basis: z"
+    assert report.admissible_r > 0
 
 
 def test_detector_reports_deterministic():

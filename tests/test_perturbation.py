@@ -13,6 +13,7 @@ from cohpert import (
     admissible_radius,
     amplitude_damping_channel,
     apply_matrix,
+    check_criterion1,
     complement,
     depolarizing_channel,
     derivative_profile,
@@ -32,6 +33,8 @@ from cohpert import (
 from cohpert.perturbation import (
     DIVERGENT,
     NEGATIVE_INFINITY,
+    RANK_BOTH_DEFICIENT,
+    RANK_ONE_DEFICIENT,
     STACK_ENTRIES,
     FamilyEvaluator,
     _support_log_trace,
@@ -285,6 +288,21 @@ def test_eigenbasis_kernel_traces_match_projector_form(rng, d):
         assert side.kernel_block_psd() == (block_min >= -1e-9)
 
 
+def test_kernel_block_check_reads_first_order_tol():
+    # P0 B1 P0 = diag(1e-8, -1e-8) is a first-order quantity: it fails the
+    # default 1e-9 check and passes under first_order_tol = 1e-7
+    base = DensityMatrix.from_matrix(np.diag([0.5, 0.5, 0.0, 0.0]))
+    a1 = HermitianOperator.from_matrix(np.diag([0.0, 0.0, 1e-8, -1e-8]))
+    fam = PerturbationFamily.build(base, a1)
+    ch = identity_channel(4)
+    warning = "kernel_block_not_psd:out"
+    assert warning in derivative_profile(ch, fam).warnings
+    assert warning in check_criterion1(ch, fam).warnings
+    loose = Tolerances(first_order_tol=1e-7)
+    assert warning not in derivative_profile(ch, fam, loose).warnings
+    assert warning not in check_criterion1(ch, fam, tol=loose).warnings
+
+
 def test_sum_rules(rng):
     for _ in range(10):
         h = random_density(rng, 4).matrix
@@ -405,13 +423,15 @@ def test_evaluator_grid_matches_pointwise_coherent_information():
 
 
 def test_evaluator_entropy_uses_its_own_kernel_tol():
-    # a 1e-3 cut drops eigenvalues that the default 1e-10 cut keeps, so the
-    # stacked and pointwise values agree only if both read the same kernel_tol
-    ch, fam, tol = depolarizing_channel(0.1), qubit_flip_family(), Tolerances(kernel_tol=1e-3)
-    stacked = FamilyEvaluator(ch, fam, tol).coherent_information([1e-5])[0]
+    # kernel_tol decides rank only: at 0.1 the output eigenvalue 0.05 joins
+    # the kernel, while the continuous entropies read no tolerance
+    ch, fam, tol = depolarizing_channel(0.1), qubit_flip_family(), Tolerances(kernel_tol=0.1)
+    ev, default = FamilyEvaluator(ch, fam, tol), FamilyEvaluator(ch, fam)
+    assert (default.rank_case, ev.rank_case) == (RANK_ONE_DEFICIENT, RANK_BOTH_DEFICIENT)
+    stacked = ev.coherent_information([1e-5])[0]
+    assert stacked == default.coherent_information([1e-5])[0]
     pointwise = coherent_information(state_at(fam, 1e-5), ch, tol).value
     assert stacked == pytest.approx(pointwise, abs=1e-15)
-    assert abs(stacked - coherent_information(state_at(fam, 1e-5), ch).value) > 1e-5
 
 
 def test_evaluator_rejects_eps_outside_the_family():
@@ -465,12 +485,6 @@ def test_fd_derivatives_random_full_rank_agreement(rng):
         first, second = fd_derivatives(ch, fam)
         assert first == pytest.approx(profile.fprime0, rel=1e-4, abs=1e-8)
         assert second == pytest.approx(profile.fsecond0, rel=1e-4, abs=1e-7)
-
-
-def test_fd_derivatives_rejects_non_halving_steps():
-    fam = qubit_flip_family()
-    with pytest.raises(ValueError):
-        fd_derivatives(depolarizing_channel(0.1), fam, steps=[1e-2, 4e-3, 2e-3, 1e-3])
 
 
 def test_line_between_matches_segment():
