@@ -17,18 +17,11 @@ import json
 import sys
 from typing import Sequence
 
-from .scenarios import (
-    CSV_SCHEMAS,
-    SCENARIOS,
-    GridSpec,
-    ScenarioConfig,
-    run_custom,
-    run_scenario,
-)
+from .scenarios import SCENARIOS, GridSpec, ScenarioConfig, run_custom, run_scenario
 from .tolerances import DEFAULT, Tolerances
 
 _SCHEMA_HELP = "CSV column schemas:\n" + "\n".join(
-    f"  {name}: {schema}" for name, schema in sorted(CSV_SCHEMAS.items())
+    f"  {name}: {','.join(columns)}" for name, (_, columns) in sorted(SCENARIOS.items())
 )
 
 
@@ -70,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_SCHEMA_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sc.add_argument("name", choices=[s for s in SCENARIOS if s != "custom"])
+    sc.add_argument("name", choices=list(SCENARIOS))
     sc.add_argument("--grid", type=_parse_grid, default=None, metavar="LO:HI:STEPS")
     sc.add_argument("--out", default=".", metavar="DIR", help="output directory")
     sc.add_argument("--format", choices=["csv", "json", "both"], default="both")
@@ -93,9 +86,11 @@ def _load_json(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise SystemExit(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise SystemExit(f"invalid JSON in {path} (line {exc.lineno}, column {exc.colno}): {exc.msg}")
+        raise ValueError(
+            f"invalid JSON in {path} (line {exc.lineno}, column {exc.colno}): {exc.msg}"
+        ) from exc
 
 
 def _tolerances(pairs: Sequence[str]) -> Tolerances:
@@ -104,7 +99,7 @@ def _tolerances(pairs: Sequence[str]) -> Tolerances:
     overrides = {key.lower(): value for key, value in _parse_kv(pairs).items()}
     for key in overrides:
         if key not in names:
-            raise SystemExit(f"unknown tolerance {key!r}; tunable: " + ", ".join(names))
+            raise ValueError(f"unknown tolerance {key!r}; tunable: " + ", ".join(names))
     return dataclasses.replace(DEFAULT, **overrides)
 
 
@@ -134,7 +129,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise ValueError(f"check config must be a JSON object, got {obj!r}")
             for key in ("channel", "family", "criterion"):
                 if key not in obj:
-                    raise SystemExit(f"config is missing field {key!r}")
+                    raise ValueError(f"config is missing field {key!r}")
             report = run_custom(
                 obj["channel"], obj["family"], obj["criterion"], obj.get("sense", "positive_f")
             )

@@ -2,7 +2,8 @@
 built on them: superadditivity of one-shot quantum capacity and a positive
 gap between one-shot private and quantum capacity.
 
-The criteria C1, C2 and C3 are reports on one comparison each, made by
+:func:`check_criterion` runs one of the criteria C1, C2 and C3.  Each is a
+report on one comparison, made by
 :meth:`~cohpert.perturbation.FamilyEvaluator.comparison`, which
 :func:`~cohpert.perturbation.derivative_profile` reads too: a rank case, a
 first-order precondition and a pair of traces.  ``sense="positive_f"`` asks
@@ -11,6 +12,8 @@ whether it can lower it (the pair swaps, so the margin flips sign exactly).
 A report never concludes from the analytic inequality alone: detectors also
 require a numeric witness ``f(eps)`` of the right sign.  Each witness
 detector runs all three criteria on its one evaluator and keeps every report.
+:func:`threshold_scan` bisects any margin function of one parameter, such as
+a criterion margin or the coherent information of a fixed input.
 """
 
 from __future__ import annotations
@@ -140,40 +143,30 @@ def _condition_warnings(ev: FamilyEvaluator) -> list[str]:
     return out + _kernel_warnings(ev)
 
 
-def check_criterion1(
+def check_criterion(
     ch: QuantumChannel,
     fam: PerturbationFamily,
+    criterion: str,
     sense: str = "positive_f",
     tol: Tolerances = DEFAULT,
 ) -> CriterionReport:
-    """First-order kernel-splitting test, for an output rank deficient: a
-    winning output-side kernel trace makes ``f'`` diverge with the requested
-    sign (:meth:`~cohpert.perturbation.FamilyEvaluator.comparison`)."""
-    return _criterion(FamilyEvaluator(ch, fam, tol), "C1", sense)
+    """Criterion ``C1``, ``C2`` or ``C3`` on a channel and a family.
 
+    - ``C1`` is the first-order kernel-splitting test, for an output rank
+      deficient: a winning output-side kernel trace makes ``f'`` diverge
+      with the requested sign.
+    - ``C2`` is the second-order kernel-splitting test, for an output rank
+      deficient and every cluster trace zero: it compares the ``w0_trace``
+      terms, a full-rank side contributing zero.
+    - ``C3`` is the second-order test with both outputs full rank and equal
+      first-order log traces: it compares ``tr(W_M) + 2 tr(M(A2) ln M(rho))``
+      of the two sides, labeled ``THM2_FULL2`` when the ``A2`` log terms are
+      not negligible.
 
-def check_criterion2(
-    ch: QuantumChannel,
-    fam: PerturbationFamily,
-    sense: str = "positive_f",
-    tol: Tolerances = DEFAULT,
-) -> CriterionReport:
-    """Second-order kernel-splitting test, for an output rank deficient and
-    every cluster trace zero: compares the ``w0_trace`` terms, a full-rank
-    side contributing zero."""
-    return _criterion(FamilyEvaluator(ch, fam, tol), "C2", sense)
-
-
-def check_criterion3(
-    ch: QuantumChannel,
-    fam: PerturbationFamily,
-    sense: str = "positive_f",
-    tol: Tolerances = DEFAULT,
-) -> CriterionReport:
-    """Second-order test with both outputs full rank and equal first-order
-    log traces: compares ``tr(W_M) + 2 tr(M(A2) ln M(rho))`` of the two
-    sides, labeled ``THM2_FULL2`` when the ``A2`` log terms are not negligible."""
-    return _criterion(FamilyEvaluator(ch, fam, tol), "C3", sense)
+    A criterion whose rank case does not hold is ``inapplicable``; an
+    unknown name raises :class:`ValueError`.
+    """
+    return _criterion(FamilyEvaluator(ch, fam, tol), criterion, sense)
 
 
 def _criterion(ev: FamilyEvaluator, name: str, sense: str) -> CriterionReport:
@@ -474,45 +467,12 @@ def detect_private_gap_via_complement(
     )
 
 
-def criterion_margin(
-    ch: QuantumChannel,
-    fam: PerturbationFamily,
-    criterion: str,
-    sense: str = "positive_f",
-    tol: Tolerances = DEFAULT,
-) -> float:
-    """Margin of one named criterion for scan and root-finding use."""
-    return _criterion(FamilyEvaluator(ch, fam, tol), criterion, sense).margin
-
-
 def threshold_scan(
-    channel_builder: Callable[[float], QuantumChannel],
-    family_builder: Callable[[float], PerturbationFamily] | None,
-    criterion: str,
-    sense: str,
-    lo: float,
-    hi: float,
-    param_tol: float = 1e-4,
-    tol: Tolerances = DEFAULT,
+    margin: Callable[[float], float], lo: float, hi: float, param_tol: float = 1e-4
 ) -> float:
-    """Bisect a channel parameter for the zero of a criterion margin.
-
-    ``criterion`` is one of ``C1``, ``C2``, ``C3`` (margin of that check,
-    needing ``family_builder``) or ``hashing`` (coherent information of the
-    maximally mixed state, in bits).  Raises when the margin has the same
-    sign at both ends of the interval.
-    """
-    if criterion == "hashing":
-        def margin(p: float) -> float:
-            ch = channel_builder(p)
-            return coherent_information(DensityMatrix.maximally_mixed(ch.dim_in), ch, tol).value
-    else:
-        if family_builder is None:
-            raise ValueError(f"criterion {criterion!r} needs a family builder")
-
-        def margin(p: float) -> float:
-            return criterion_margin(channel_builder(p), family_builder(p), criterion, sense, tol)
-
+    """Bisect a parameter on ``[lo, hi]`` for a zero of ``margin``, to
+    within ``param_tol``.  Raises :class:`NoSignChangeError` when the margin
+    has the same sign at both ends of the interval."""
     f_lo, f_hi = margin(lo), margin(hi)
     if f_lo == 0.0:
         return lo

@@ -29,7 +29,7 @@ from .channels import (
 )
 from .criteria import (
     CriterionReport,
-    _criterion,
+    check_criterion,
     detect_private_gap,
     detect_private_gap_via_complement,
     detect_superadditivity,
@@ -39,7 +39,6 @@ from .errors import NoSignChangeError, RankCaseError
 from .info import coherent_information
 from .linalg import DensityMatrix, HermitianOperator
 from .perturbation import (
-    FamilyEvaluator,
     PerturbationFamily,
     basis_line,
     line_between,
@@ -47,16 +46,6 @@ from .perturbation import (
     state_at,
 )
 from .tolerances import DEFAULT, Tolerances
-
-SCENARIOS = (
-    "depolarizing-n2",
-    "platypus-ad",
-    "gap-depolarizing",
-    "dephrasure-gap",
-    "hashing-curve",
-    "custom",
-)
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -81,12 +70,13 @@ class ScenarioConfig:
     grid: GridSpec | None = None
     output: str = "."
     fmt: str = "both"
-    extra: Mapping[str, object] = field(default_factory=dict)
     tol: Tolerances = DEFAULT
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
+            raise ValueError(
+                f"unknown scenario {self.scenario!r}; expected one of {tuple(SCENARIOS)}"
+            )
         if self.fmt not in ("csv", "json", "both"):
             raise ValueError(f"format must be csv, json or both, got {self.fmt!r}")
 
@@ -94,16 +84,20 @@ class ScenarioConfig:
     def from_json(cls, obj: Mapping) -> "ScenarioConfig":
         if not isinstance(obj, Mapping):
             raise ValueError("scenario config must be a JSON object")
-        known = {"scenario", "params", "grid", "output", "format"}
         grid = None
         if obj.get("grid") is not None:
             g = obj["grid"]
             try:
-                grid = GridSpec(float(g["lo"]), float(g["hi"]), int(g["steps"]))
+                lo, hi, steps = float(g["lo"]), float(g["hi"]), g["steps"]
             except (KeyError, TypeError) as exc:
                 raise ValueError(
                     f"grid must be an object with numeric lo, hi and steps, got {g!r}"
                 ) from exc
+            if isinstance(steps, bool) or not (
+                isinstance(steps, int) or isinstance(steps, float) and steps.is_integer()
+            ):
+                raise ValueError(f"grid steps must be a whole number, got {steps!r}")
+            grid = GridSpec(lo, hi, int(steps))
         params = obj.get("params", {}) or {}
         if not isinstance(params, Mapping):
             raise ValueError(f"params must be an object of numbers, got {params!r}")
@@ -118,7 +112,6 @@ class ScenarioConfig:
             grid=grid,
             output=str(obj.get("output", ".")),
             fmt=str(obj.get("format", "both")),
-            extra={k: v for k, v in obj.items() if k not in known},
         )
 
 
@@ -194,15 +187,16 @@ def write_csv(path: str, columns: Sequence[str], rows: Sequence[Mapping[str, obj
 
 def _bracket_threshold(
     margin_by_param: Sequence[tuple[float, float]],
-    refine: Callable[[float, float], float],
+    margin: Callable[[float], float],
 ) -> tuple[float | None, str]:
-    """Refine the first sign change found among grid rows, if any."""
+    """Bisect ``margin`` on the first sign change found among grid rows, if any."""
     for (p0, m0), (p1, m1) in zip(margin_by_param, margin_by_param[1:]):
         if np.sign(m0) != np.sign(m1) and m0 != 0.0:
             try:
-                return refine(p0, p1), "sign change bracketed on the grid and bisected"
+                threshold = threshold_scan(margin, p0, p1)
             except NoSignChangeError:
                 continue
+            return threshold, "sign change bracketed on the grid and bisected"
     signs = {np.sign(m) for _, m in margin_by_param if m != 0.0}
     if len(signs) <= 1:
         return None, "margin keeps one sign across the grid; no threshold exists here"
@@ -210,25 +204,7 @@ def _bracket_threshold(
 
 
 # ---------------------------------------------------------------------------
-# the scenarios and their CSV columns
-
-DEPOLARIZING_N2_COLUMNS = (
-    "p", "trace_w_out", "trace_w_env", "margin", "verdict",
-    "ic_single", "witness_eps", "witness_f", "conclusion",
-)
-HASHING_CURVE_COLUMNS = ("p", "ic_bits")
-GAP_DEPOLARIZING_COLUMNS = (
-    "p", "kernel_trace_out", "kernel_trace_env", "kernel_trace_env_analytic",
-    "margin", "verdict", "admissible_r", "witness_eps", "witness_f", "conclusion",
-)
-PLATYPUS_AD_COLUMNS = (
-    "s", "w_star", "second_order_out", "second_order_env", "margin",
-    "verdict", "witness_eps", "witness_f", "conclusion",
-)
-DEPHRASURE_GAP_COLUMNS = (
-    "q", "ic_primary", "u_primary", "ic_complement_line",
-    "below_positive_ic_boundary", "admissible_r", "conclusion",
-)
+# the scenarios
 
 
 def _scenario_depolarizing_n2(cfg: ScenarioConfig) -> dict:
@@ -258,25 +234,15 @@ def _scenario_depolarizing_n2(cfg: ScenarioConfig) -> dict:
             "_detector": detector,
         }
 
+    def margin(p: float) -> float:
+        pair = tensor(depolarizing_channel(p), depolarizing_channel(p))
+        return check_criterion(pair, fam, "C3", tol=cfg.tol).margin
+
     rows = [row(v) for v in grid.values()]
-    margins = [(r["p"], r["margin"]) for r in rows]
-
-    def refine(lo: float, hi: float) -> float:
-        return threshold_scan(
-            lambda p: tensor(depolarizing_channel(p), depolarizing_channel(p)),
-            lambda p: fam,
-            "C3",
-            "positive_f",
-            lo,
-            hi,
-            tol=cfg.tol,
-        )
-
-    threshold, note = _bracket_threshold(margins, refine)
+    threshold, note = _bracket_threshold([(r["p"], r["margin"]) for r in rows], margin)
     detectors = [r.pop("_detector") for r in rows]
     firing = [d.to_json() for d in detectors if d.conclusion == "superadditive"]
     return {
-        "columns": DEPOLARIZING_N2_COLUMNS,
         "rows": rows,
         "report": {
             "threshold": threshold,
@@ -289,21 +255,13 @@ def _scenario_depolarizing_n2(cfg: ScenarioConfig) -> dict:
 def _scenario_hashing_curve(cfg: ScenarioConfig) -> dict:
     grid = cfg.grid or GridSpec(0.0, 0.3, 61)
 
-    def row(p: float) -> dict:
+    def ic_bits(p: float) -> float:
         mixed = DensityMatrix.maximally_mixed(2)
-        return {"p": p, "ic_bits": coherent_information(mixed, depolarizing_channel(p), cfg.tol).value}
+        return coherent_information(mixed, depolarizing_channel(p), cfg.tol).value
 
-    rows = [row(v) for v in grid.values()]
-    margins = [(r["p"], r["ic_bits"]) for r in rows]
-
-    def refine(lo: float, hi: float) -> float:
-        return threshold_scan(
-            depolarizing_channel, None, "hashing", "positive_f", lo, hi, tol=cfg.tol
-        )
-
-    threshold, note = _bracket_threshold(margins, refine)
+    rows = [{"p": p, "ic_bits": ic_bits(p)} for p in grid.values()]
+    threshold, note = _bracket_threshold([(r["p"], r["ic_bits"]) for r in rows], ic_bits)
     return {
-        "columns": HASHING_CURVE_COLUMNS,
         "rows": rows,
         "report": {"zero_crossing": threshold, "note": note},
     }
@@ -340,7 +298,6 @@ def _scenario_gap_depolarizing(cfg: ScenarioConfig) -> dict:
     rows = [row(v) for v in values]
     detectors = [r.pop("_detector") for r in rows]
     return {
-        "columns": GAP_DEPOLARIZING_COLUMNS,
         "rows": rows,
         "report": {"detections": [d.to_json() for d in detectors]},
     }
@@ -382,7 +339,6 @@ def _scenario_platypus_ad(cfg: ScenarioConfig) -> dict:
     detectors = [r.pop("_detector") for r in rows]
     firing = [d.to_json() for d in detectors if d.conclusion == "superadditive"]
     return {
-        "columns": PLATYPUS_AD_COLUMNS,
         "rows": rows,
         "report": {"gamma": gamma, "a": a, "superadditive_detections": firing},
     }
@@ -411,7 +367,6 @@ def _scenario_dephrasure_gap(cfg: ScenarioConfig) -> dict:
     rows = [row(v) for v in grid.values()]
     detectors = [r.pop("_detector") for r in rows]
     return {
-        "columns": DEPHRASURE_GAP_COLUMNS,
         "rows": rows,
         "report": {
             "p": p,
@@ -449,58 +404,41 @@ def run_custom(
 ) -> CriterionReport:
     """Run one named criterion on a channel and family given as JSON."""
     ch = channel_from_json(channel_json)
-    fam = family_from_json(family_json, tol)
-    return _criterion(FamilyEvaluator(ch, fam, tol), criterion, sense)
+    return check_criterion(ch, family_from_json(family_json, tol), criterion, sense, tol)
 
 
-_SCENARIO_FUNCS = {
-    "depolarizing-n2": _scenario_depolarizing_n2,
-    "platypus-ad": _scenario_platypus_ad,
-    "gap-depolarizing": _scenario_gap_depolarizing,
-    "dephrasure-gap": _scenario_dephrasure_gap,
-    "hashing-curve": _scenario_hashing_curve,
-}
-
-CSV_SCHEMAS = {
-    name: ",".join(columns)
-    for name, columns in (
-        ("depolarizing-n2", DEPOLARIZING_N2_COLUMNS),
-        ("platypus-ad", PLATYPUS_AD_COLUMNS),
-        ("gap-depolarizing", GAP_DEPOLARIZING_COLUMNS),
-        ("dephrasure-gap", DEPHRASURE_GAP_COLUMNS),
-        ("hashing-curve", HASHING_CURVE_COLUMNS),
-    )
+# name -> (runner, CSV columns); the runner returns the rows and the report
+SCENARIOS: dict[str, tuple[Callable[[ScenarioConfig], dict], tuple[str, ...]]] = {
+    "depolarizing-n2": (_scenario_depolarizing_n2, (
+        "p", "trace_w_out", "trace_w_env", "margin", "verdict",
+        "ic_single", "witness_eps", "witness_f", "conclusion",
+    )),
+    "platypus-ad": (_scenario_platypus_ad, (
+        "s", "w_star", "second_order_out", "second_order_env", "margin",
+        "verdict", "witness_eps", "witness_f", "conclusion",
+    )),
+    "gap-depolarizing": (_scenario_gap_depolarizing, (
+        "p", "kernel_trace_out", "kernel_trace_env", "kernel_trace_env_analytic",
+        "margin", "verdict", "admissible_r", "witness_eps", "witness_f", "conclusion",
+    )),
+    "dephrasure-gap": (_scenario_dephrasure_gap, (
+        "q", "ic_primary", "u_primary", "ic_complement_line",
+        "below_positive_ic_boundary", "admissible_r", "conclusion",
+    )),
+    "hashing-curve": (_scenario_hashing_curve, ("p", "ic_bits")),
 }
 
 
 def run_scenario(cfg: ScenarioConfig) -> dict:
     """Execute a named scenario and write its CSV table and JSON report.
 
-    Returns a summary with the written paths and the report body.  The
-    ``custom`` scenario expects ``channel``, ``family``, ``criterion`` and
-    optionally ``sense`` in the config's extra fields and emits only a JSON
-    report.
+    Returns a summary with the written paths and the report body.
     """
     os.makedirs(cfg.output, exist_ok=True)
     base = os.path.join(cfg.output, cfg.scenario)
+    runner, columns = SCENARIOS[cfg.scenario]
+    result = runner(cfg)
 
-    if cfg.scenario == "custom":
-        extra = cfg.extra
-        for key in ("channel", "family", "criterion"):
-            if key not in extra:
-                raise ValueError(f"custom scenario config is missing field {key!r}")
-        report = run_custom(
-            extra["channel"], extra["family"], extra["criterion"],
-            str(extra.get("sense", "positive_f")),
-            cfg.tol,
-        )
-        payload = {"scenario": "custom", "report": report.to_json()}
-        json_path = base + ".json"
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        return {"json": json_path, "report": payload}
-
-    result = _SCENARIO_FUNCS[cfg.scenario](cfg)
     payload = {
         "scenario": cfg.scenario,
         "params": dict(cfg.params),
@@ -511,7 +449,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     summary: dict = {"report": payload}
     if cfg.fmt in ("csv", "both"):
         csv_path = base + ".csv"
-        write_csv(csv_path, result["columns"], result["rows"])
+        write_csv(csv_path, columns, result["rows"])
         summary["csv"] = csv_path
     if cfg.fmt in ("json", "both"):
         json_path = base + ".json"

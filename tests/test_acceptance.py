@@ -39,7 +39,7 @@ from cohpert import (
     amplitude_damping_channel,
     apply,
     apply_matrix,
-    check_criterion2,
+    check_criterion,
     classify_first_order,
     coherent_information,
     complement,
@@ -62,7 +62,7 @@ from cohpert import (
     w0_trace,
     w_trace,
 )
-from cohpert.criteria import criterion_margin, default_witness_grid
+from cohpert.criteria import default_witness_grid
 from cohpert.scenarios import (
     dephrasure_positive_ic_boundary,
     platypus_ad_family,
@@ -172,8 +172,11 @@ def test_criterion_02_superadditivity_threshold():
     def pair(p):
         return tensor(depolarizing_channel(p), depolarizing_channel(p))
 
+    def margin(p):
+        return check_criterion(pair(p), fam, "C3", "positive_f").margin
+
     def root_matches_closed_form():
-        root = threshold_scan(pair, lambda p: fam, "C3", "positive_f", 0.05, 0.35, param_tol)
+        root = threshold_scan(margin, 0.05, 0.35, param_tol)
         expected = brentq(tilt_c3_margin, 0.05, 0.35, xtol=1e-12)
         print(
             f"    stated root 0.146 replaced by brentq on the closed-form margin: "
@@ -182,9 +185,9 @@ def test_criterion_02_superadditivity_threshold():
         return abs(root - expected) <= param_tol
 
     def margin_negative_at_0146():
-        margin = criterion_margin(pair(0.146), fam, "C3", "positive_f")
+        value = margin(0.146)
         expected = tilt_c3_margin(0.146)
-        return margin < 0 and abs(margin - expected) <= 1e-10 * abs(expected)
+        return value < 0 and abs(value - expected) <= 1e-10 * abs(expected)
 
     run_criterion(
         2,
@@ -199,8 +202,11 @@ def test_criterion_02_superadditivity_threshold():
 
 
 def test_criterion_03_hashing_zero_crossing():
+    def ic_bits(p):
+        return coherent_information(DensityMatrix.maximally_mixed(2), depolarizing_channel(p)).value
+
     def crossing():
-        root = threshold_scan(depolarizing_channel, None, "hashing", "positive_f", 0.2, 0.3)
+        root = threshold_scan(ic_bits, 0.2, 0.3)
         return abs(root - 0.2524) <= 0.0005
 
     run_criterion(
@@ -293,13 +299,14 @@ def test_criterion_05_platypus_damping_closed_forms():
             ),
             (
                 "criterion fires at gamma = 0.5",
-                lambda: check_criterion2(joint, fam, "positive_f").fires,
+                lambda: check_criterion(joint, fam, "C2", "positive_f").fires,
             ),
             (
                 "criterion fails beyond the boundary",
-                lambda: not check_criterion2(
+                lambda: not check_criterion(
                     tensor(platypus_channel(s), amplitude_damping_channel(beyond)),
                     fam,
+                    "C2",
                     "positive_f",
                 ).fires,
             ),

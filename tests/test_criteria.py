@@ -10,10 +10,9 @@ from cohpert import (
     RankCaseError,
     Tolerances,
     amplitude_damping_channel,
-    check_criterion1,
-    check_criterion2,
-    check_criterion3,
+    check_criterion,
     classify_first_order,
+    coherent_information,
     depolarizing_channel,
     dephrasure_channel,
     detect_private_gap,
@@ -43,29 +42,29 @@ def platypus_damping_pair(s=0.2, gamma=0.5):
 
 @pytest.mark.parametrize("p", [0.05, 0.1, 0.2])
 def test_criterion1_negative_sense_fires_on_flip_family(p):
-    report = check_criterion1(depolarizing_channel(p), qubit_flip_family(), "negative_f")
+    report = check_criterion(depolarizing_channel(p), qubit_flip_family(), "C1", "negative_f")
     assert report.fires
     assert report.rhs == pytest.approx(0.0, abs=1e-12)
     assert report.lhs == pytest.approx(p * (3 - 2 * p) / (2 - p), abs=1e-12)
 
 
 def test_criterion1_positive_sense_fails_on_flip_family():
-    report = check_criterion1(depolarizing_channel(0.1), qubit_flip_family(), "positive_f")
+    report = check_criterion(depolarizing_channel(0.1), qubit_flip_family(), "C1", "positive_f")
     assert report.verdict == "fails"
     assert report.margin < 0
 
 
 def test_criterion1_inapplicable_when_both_full_rank():
     joint = tensor(depolarizing_channel(0.2), depolarizing_channel(0.2))
-    report = check_criterion1(joint, two_qubit_tilt_family())
+    report = check_criterion(joint, two_qubit_tilt_family(), "C1")
     assert report.verdict == "inapplicable"
 
 
 def test_criterion1_sense_duality():
     ch = depolarizing_channel(0.1)
     fam = qubit_flip_family()
-    pos = check_criterion1(ch, fam, "positive_f")
-    neg = check_criterion1(ch, fam, "negative_f")
+    pos = check_criterion(ch, fam, "C1", "positive_f")
+    neg = check_criterion(ch, fam, "C1", "negative_f")
     assert pos.margin == -neg.margin
 
 
@@ -75,7 +74,7 @@ def test_criterion1_sense_duality():
 def test_criterion2_fires_with_closed_form_sides():
     s, w, gamma, a = 0.2, 0.3, 0.5, 0.99
     joint = tensor(*platypus_damping_pair(s, gamma))
-    report = check_criterion2(joint, platypus_ad_family(w, a), "positive_f")
+    report = check_criterion(joint, platypus_ad_family(w, a), "C2", "positive_f")
     assert report.fires
     assert report.lhs == pytest.approx(w * (1 - gamma), abs=1e-12)
     expected_rhs = w * gamma - w * w * a * a * gamma / ((1 - s) * (1 - w) + w)
@@ -87,7 +86,7 @@ def test_criterion2_fails_beyond_damping_boundary():
     boundary = (1 - s + s * w) / (2 - 2 * s - w + 2 * s * w)
     gamma = 0.999 * boundary + 0.01
     joint = tensor(*platypus_damping_pair(s, gamma))
-    report = check_criterion2(joint, platypus_ad_family(w, a), "positive_f")
+    report = check_criterion(joint, platypus_ad_family(w, a), "C2", "positive_f")
     assert report.verdict == "fails"
     assert report.margin < 0
 
@@ -96,7 +95,7 @@ def test_criterion2_zero_perturbation_fails():
     joint = tensor(*platypus_damping_pair())
     base = platypus_ad_family(0.3).base
     fam = PerturbationFamily.build(base, HermitianOperator.zero(6))
-    report = check_criterion2(joint, fam)
+    report = check_criterion(joint, fam, "C2")
     assert report.verdict == "fails"
     assert report.margin == pytest.approx(0.0, abs=1e-12)
 
@@ -106,7 +105,7 @@ def test_criterion2_detects_first_order_violation():
     fam = platypus_ad_family(0.3, 0.99)
     # the population mover alone has nonzero cluster traces at first order
     violating = PerturbationFamily.build(fam.base, fam.a2)
-    report = check_criterion2(joint, violating)
+    report = check_criterion(joint, violating, "C2")
     assert report.verdict == "fails"
     assert any("first_order" in w for w in report.warnings)
     assert report.first_order_checks
@@ -114,7 +113,7 @@ def test_criterion2_detects_first_order_violation():
 
 def test_criterion2_inapplicable_when_both_full_rank():
     joint = tensor(depolarizing_channel(0.2), depolarizing_channel(0.2))
-    report = check_criterion2(joint, two_qubit_tilt_family())
+    report = check_criterion(joint, two_qubit_tilt_family(), "C2")
     assert report.verdict == "inapplicable"
 
 
@@ -125,7 +124,7 @@ def test_criterion2_inapplicable_when_both_full_rank():
 def test_criterion3_fails_for_depolarizing_pair_tilt(p):
     # the environment-side trace never overtakes the output side for this family
     joint = tensor(depolarizing_channel(p), depolarizing_channel(p))
-    report = check_criterion3(joint, two_qubit_tilt_family())
+    report = check_criterion(joint, two_qubit_tilt_family(), "C3")
     assert report.criterion == "C3"
     assert report.verdict == "fails"
     assert report.margin < 0
@@ -136,7 +135,7 @@ def test_criterion3_fires_for_noisy_depolarizing():
     # tilting toward a pure state raises coherent information at second order
     ch = depolarizing_channel(0.9)
     fam = line_between(DensityMatrix.maximally_mixed(2), DensityMatrix.pure([1.0, 0.0]))
-    report = check_criterion3(ch, fam)
+    report = check_criterion(ch, fam, "C3")
     assert report.fires
     # soundness: a positive witness must exist on the default grid
     grid = default_witness_grid(1.0)
@@ -144,14 +143,14 @@ def test_criterion3_fires_for_noisy_depolarizing():
 
 
 def test_criterion3_inapplicable_on_rank_deficient_case():
-    report = check_criterion3(depolarizing_channel(0.1), qubit_flip_family())
+    report = check_criterion(depolarizing_channel(0.1), qubit_flip_family(), "C3")
     assert report.verdict == "inapplicable"
 
 
 def test_criterion3_zero_perturbation_fails():
     joint = tensor(depolarizing_channel(0.2), depolarizing_channel(0.2))
     fam = PerturbationFamily.build(DensityMatrix.maximally_mixed(4), HermitianOperator.zero(4))
-    report = check_criterion3(joint, fam)
+    report = check_criterion(joint, fam, "C3")
     assert report.verdict == "fails"
     assert report.margin == pytest.approx(0.0, abs=1e-12)
 
@@ -161,7 +160,7 @@ def test_criterion3_first_order_mismatch_fails():
     ch = amplitude_damping_channel(0.3)
     rho = DensityMatrix.from_matrix(np.diag([0.6, 0.4]))
     a1 = HermitianOperator.from_matrix(np.diag([0.1, -0.1]))
-    report = check_criterion3(ch, PerturbationFamily.build(rho, a1))
+    report = check_criterion(ch, PerturbationFamily.build(rho, a1), "C3")
     assert report.verdict == "fails"
     assert any("first_order" in w for w in report.warnings)
 
@@ -171,10 +170,10 @@ def test_criterion3_first_order_tol_decides_a_small_mismatch():
     ch = depolarizing_channel(0.1)
     rho = DensityMatrix.from_matrix(np.diag([0.5 + 1e-6, 0.5 - 1e-6]))
     fam = PerturbationFamily.build(rho, HermitianOperator.from_matrix(np.diag([0.1, -0.1])))
-    strict = check_criterion3(ch, fam, "negative_f")
+    strict = check_criterion(ch, fam, "C3", "negative_f")
     assert strict.verdict == "fails"
     assert "first_order_condition_violated:log_a1" in strict.warnings
-    loose = check_criterion3(ch, fam, "negative_f", Tolerances(first_order_tol=1e-3))
+    loose = check_criterion(ch, fam, "C3", "negative_f", Tolerances(first_order_tol=1e-3))
     assert loose.verdict == "fires"
     assert loose.margin == strict.margin
 
@@ -184,15 +183,15 @@ def test_criterion3_labels_second_order_log_terms():
     rho = DensityMatrix.from_matrix(np.diag([0.6, 0.4]))
     a2 = HermitianOperator.from_matrix(np.diag([0.1, -0.1]))
     fam = PerturbationFamily.build(rho, HermitianOperator.zero(2), a2)
-    report = check_criterion3(ch, fam)
+    report = check_criterion(ch, fam, "C3")
     assert report.criterion == "THM2_FULL2"
 
 
 def test_criterion3_sense_duality():
     joint = tensor(depolarizing_channel(0.2), depolarizing_channel(0.2))
     fam = two_qubit_tilt_family()
-    pos = check_criterion3(joint, fam, "positive_f")
-    neg = check_criterion3(joint, fam, "negative_f")
+    pos = check_criterion(joint, fam, "C3", "positive_f")
+    neg = check_criterion(joint, fam, "C3", "negative_f")
     assert pos.margin == -neg.margin
     assert neg.fires  # the negative sense of this family genuinely fires
     assert f_eval(joint, fam, 0.05) < 0
@@ -412,39 +411,41 @@ def test_detector_reports_deterministic():
 # --- threshold scans ---------------------------------------------------------
 
 
+def hashing_ic_bits(p):
+    return coherent_information(DensityMatrix.maximally_mixed(2), depolarizing_channel(p)).value
+
+
 def test_threshold_scan_hashing_zero_crossing():
-    root = threshold_scan(depolarizing_channel, None, "hashing", "positive_f", 0.2, 0.3)
+    root = threshold_scan(hashing_ic_bits, 0.2, 0.3)
     assert root == pytest.approx(0.25239, abs=2e-4)
 
 
 def test_threshold_scan_requires_sign_change():
     with pytest.raises(NoSignChangeError):
-        threshold_scan(depolarizing_channel, None, "hashing", "positive_f", 0.01, 0.1)
+        threshold_scan(hashing_ic_bits, 0.01, 0.1)
 
 
 def test_threshold_scan_criterion3_margin_has_no_root_below_hashing_point():
     fam = two_qubit_tilt_family()
+
+    def margin(p):
+        pair = tensor(depolarizing_channel(p), depolarizing_channel(p))
+        return check_criterion(pair, fam, "C3", "positive_f").margin
+
     with pytest.raises(NoSignChangeError):
-        threshold_scan(
-            lambda p: tensor(depolarizing_channel(p), depolarizing_channel(p)),
-            lambda p: fam,
-            "C3",
-            "positive_f",
-            0.05,
-            0.25,
-        )
+        threshold_scan(margin, 0.05, 0.25)
 
 
-def test_threshold_scan_unknown_criterion():
-    with pytest.raises(ValueError):
-        threshold_scan(depolarizing_channel, None, "C9", "positive_f", 0.1, 0.2)
+def test_check_criterion_unknown_criterion():
+    with pytest.raises(ValueError, match="unknown criterion 'C9'"):
+        check_criterion(depolarizing_channel(0.1), qubit_flip_family(), "C9")
 
 
 def test_criterion1_positive_sense_fires_on_complement_channel():
     # swapping primary and complement roles puts the kernel on the output side
     ch = complement_channel(depolarizing_channel(0.1))
     fam = qubit_flip_family()
-    report = check_criterion1(ch, fam, "positive_f")
+    report = check_criterion(ch, fam, "C1", "positive_f")
     assert report.fires
     assert report.lhs == pytest.approx(0.1 * (3 - 0.2) / 1.9, abs=1e-12)
     # soundness: a positive witness exists on the fine default grid
@@ -478,7 +479,7 @@ def test_run_custom_tensor_spec_round_trip():
 
 
 def test_criterion_report_json_schema():
-    report = check_criterion1(depolarizing_channel(0.1), qubit_flip_family(), "negative_f")
+    report = check_criterion(depolarizing_channel(0.1), qubit_flip_family(), "C1", "negative_f")
     body = report.to_json()
     assert set(body) == {
         "criterion", "sense", "verdict", "lhs", "rhs", "margin",
@@ -510,7 +511,7 @@ def test_detector_report_json_schema():
 )
 def test_criterion2_closed_forms_generalize(s, w, gamma, a):
     joint = tensor(platypus_channel(s), amplitude_damping_channel(gamma))
-    report = check_criterion2(joint, platypus_ad_family(w, a), "positive_f")
+    report = check_criterion(joint, platypus_ad_family(w, a), "C2", "positive_f")
     assert report.lhs == pytest.approx(w * (1 - gamma), abs=1e-12)
     expected_rhs = w * gamma - w * w * a * a * gamma / ((1 - s) * (1 - w) + w)
     assert report.rhs == pytest.approx(expected_rhs, abs=1e-12)
@@ -522,7 +523,7 @@ def test_criterion2_negative_sense_fires_beyond_boundary():
     gamma = boundary + 0.05
     joint = tensor(platypus_channel(s), amplitude_damping_channel(gamma))
     fam = platypus_ad_family(w, a)
-    report = check_criterion2(joint, fam, "negative_f")
+    report = check_criterion(joint, fam, "C2", "negative_f")
     assert report.fires
     # soundness: a negative value of f exists
     grid = np.geomspace(1e-4, 0.14, 30)
@@ -538,7 +539,7 @@ def test_criterion1_soundness_on_random_pure_lines(rng):
         ch = random_channel(rng, d, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
         fam = line_between(random_pure(rng, d), random_pure(rng, d))
         for sense, sign in (("positive_f", 1.0), ("negative_f", -1.0)):
-            report = check_criterion1(ch, fam, sense)
+            report = check_criterion(ch, fam, "C1", sense)
             if report.verdict != "fires" or report.margin < 1e-3:
                 continue
             fired += 1

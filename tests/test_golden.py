@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from cohpert import ScenarioConfig, run_scenario
+from cohpert.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = ("depolarizing-n2", "platypus-ad", "gap-depolarizing", "dephrasure-gap", "hashing-curve")
@@ -73,3 +74,13 @@ def test_scenario_reproduces_golden_json_report(name, tmp_path):
     with open(GOLDEN / f"{name}.json", encoding="utf-8") as fh:
         want = json.load(fh)
     assert_json_matches(got, want, name)
+
+
+def test_help_schemas_match_golden_headers(capsys):
+    # the schema lines in `cohpert --help` come from the same table as the
+    # columns each scenario writes
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    epilog = capsys.readouterr().out.split("CSV column schemas:\n")[1]
+    schemas = dict(line.strip().split(": ") for line in epilog.splitlines())
+    assert schemas == {name: ",".join(read_rows(GOLDEN / f"{name}.csv")[0]) for name in SCENARIOS}

@@ -13,7 +13,7 @@ from cohpert import (
     admissible_radius,
     amplitude_damping_channel,
     apply_matrix,
-    check_criterion1,
+    check_criterion,
     complement,
     depolarizing_channel,
     derivative_profile,
@@ -297,10 +297,10 @@ def test_kernel_block_check_reads_first_order_tol():
     ch = identity_channel(4)
     warning = "kernel_block_not_psd:out"
     assert warning in derivative_profile(ch, fam).warnings
-    assert warning in check_criterion1(ch, fam).warnings
+    assert warning in check_criterion(ch, fam, "C1").warnings
     loose = Tolerances(first_order_tol=1e-7)
     assert warning not in derivative_profile(ch, fam, loose).warnings
-    assert warning not in check_criterion1(ch, fam, tol=loose).warnings
+    assert warning not in check_criterion(ch, fam, "C1", tol=loose).warnings
 
 
 def test_sum_rules(rng):

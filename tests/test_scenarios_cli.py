@@ -203,13 +203,6 @@ def test_family_from_json_validation():
         family_from_json("not an object")
 
 
-def test_custom_scenario_via_config(tmp_path):
-    payload = {"scenario": "custom", "output": str(tmp_path), **identity_check_config()}
-    summary = run_scenario(ScenarioConfig.from_json(payload))
-    body = json.loads(read(summary["json"]))
-    assert body["report"]["verdict"] == "fails"
-
-
 def test_cli_scenario_verb(tmp_path, capsys):
     code = main(
         [
@@ -238,11 +231,27 @@ def test_cli_check_verb(tmp_path, capsys):
     assert body["criterion"] == "C3"
 
 
-def test_cli_check_malformed_json(tmp_path):
+def test_cli_check_malformed_json(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text("{not json")
-    with pytest.raises(SystemExit):
-        main(["check", str(config)])
+    assert main(["check", str(config)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: invalid JSON in {config} (line 1, column 2)")
+
+
+@pytest.mark.parametrize("verb", ["check", "scan"])
+def test_cli_unreadable_config_is_an_error(tmp_path, capsys, verb):
+    missing = tmp_path / "missing.json"
+    assert main([verb, str(missing)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+
+
+def test_cli_check_missing_field_is_an_error(tmp_path, capsys):
+    config = identity_check_config()
+    del config["criterion"]
+    path = tmp_path / "check.json"
+    path.write_text(json.dumps(config))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == "error: config is missing field 'criterion'\n"
 
 
 def test_cli_scan_verb(tmp_path, capsys):
@@ -266,6 +275,27 @@ def test_cli_rejects_unknown_scenario_config(tmp_path, capsys):
     config.write_text(json.dumps({"scenario": "warp-drive"}))
     assert main(["scan", str(config)]) == 1
     assert "unknown scenario" in capsys.readouterr().err
+
+
+def test_cli_scan_rejects_custom_scenario(tmp_path, capsys):
+    # a single criterion from JSON runs through `cohpert check`, not a scan
+    config = tmp_path / "scan.json"
+    payload = {"scenario": "custom", "output": str(tmp_path / "out"), **identity_check_config()}
+    config.write_text(json.dumps(payload))
+    assert main(["scan", str(config)]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown scenario 'custom'")
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("steps", [2.9, "3", True])
+def test_cli_scan_rejects_non_whole_grid_steps(tmp_path, capsys, steps):
+    config = tmp_path / "scan.json"
+    out = tmp_path / "out"
+    grid = {"lo": 0.2, "hi": 0.3, "steps": steps}
+    config.write_text(json.dumps({"scenario": "hashing-curve", "grid": grid, "output": str(out)}))
+    assert main(["scan", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: grid steps must be a whole number, got {steps!r}\n"
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("grid", [{"lo": 0.0, "hi": 0.3}, [0.0, 0.3, 4]])
@@ -425,22 +455,23 @@ def test_depolarizing_n2_needs_full_rank_outputs(tmp_path):
         run_scenario(cfg)
 
 
-def test_cli_tol_rejects_unknown_name(tmp_path):
+def test_cli_tol_rejects_unknown_name(tmp_path, capsys):
     # cptp_tol is a fixed constant, not a field of Tolerances
     for name in ("bogus", "cptp_tol"):
-        with pytest.raises(SystemExit, match="unknown tolerance"):
-            main(
-                [
-                    "scenario",
-                    "hashing-curve",
-                    "--grid",
-                    "0.2:0.3:4",
-                    "--out",
-                    str(tmp_path),
-                    "--tol",
-                    f"{name}=1",
-                ]
-            )
+        code = main(
+            [
+                "scenario",
+                "hashing-curve",
+                "--grid",
+                "0.2:0.3:4",
+                "--out",
+                str(tmp_path),
+                "--tol",
+                f"{name}=1",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: unknown tolerance {name!r}; tunable: ")
 
 
 def test_all_exports_resolve():
