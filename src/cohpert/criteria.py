@@ -43,7 +43,7 @@ from .tolerances import DEFAULT, Tolerances
 SENSES = ("positive_f", "negative_f")
 
 R_TOL = 1e-6
-"""Resolution of the ``r`` bisection; the gap detectors read ``r <= R_TOL`` as no ``r > 0``."""
+"""Cut below which the gap detectors read the exact ``r``-bar as no admissible ``r > 0``."""
 
 WARN_FIRST_ORDER_VIOLATED = "first_order_condition_violated"
 WARN_NEAR_ZERO_MARGIN = "margin_within_decision_tolerance"
@@ -325,24 +325,16 @@ def detect_superadditivity(
 
 
 def _largest_admissible_r(sigma: DensityMatrix, states: np.ndarray, tol: Tolerances) -> float:
-    """Largest ``r`` in (0, 1] with ``sigma - r * state`` PSD for every state
-    in the stack ``states``, by bisection with one eigensolver call per probe.
-    Each state's predicate is monotone in ``r``, so this is exactly the least
-    of the per-state bisections."""
-
-    def ok(r: float) -> bool:
-        return bool(np.all(np.linalg.eigvalsh(sigma.matrix - r * states)[:, 0] >= -tol.psd_tol))
-
-    if ok(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > R_TOL:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """Largest ``r`` in [0, 1] keeping ``sigma - r * state`` at or above
+    ``-psd_tol`` for every state in ``states``: with ``S = sigma + psd_tol I``
+    that is ``1 / lambda_max(S^-1/2 state S^-1/2)``, from one ``eigh`` and one
+    stacked ``eigvalsh`` (0.0 when ``S`` is singular)."""
+    lam, v = np.linalg.eigh(sigma.matrix)
+    if lam[0] + tol.psd_tol <= 0.0:
+        return 0.0
+    w = v / np.sqrt(lam + tol.psd_tol)
+    top = np.linalg.eigvalsh(w.conj().T @ states @ w)[:, -1].max()
+    return float(min(1.0, 1.0 / top))
 
 
 def detect_private_gap(
@@ -356,10 +348,11 @@ def detect_private_gap(
 
     ``sigma`` is asserted by the caller to be an optimal mixed state for the
     channel; the family base must be pure.  The detector needs three pieces:
-    a positive ``r`` with ``sigma - r * rho(eps)`` PSD across the witness
-    grid, a negative-sense criterion firing, and a grid point with
-    ``f(eps) < -tol.numeric_margin`` bits.  A detected gap also implies the
-    complementary channel has positive private capacity.
+    an exact ``r``-bar above ``R_TOL`` with ``sigma - r * rho(eps)`` PSD
+    within ``psd_tol`` across the witness grid, a negative-sense criterion
+    firing, and a grid point with ``f(eps) < -tol.numeric_margin`` bits.
+    A detected gap also implies the complementary channel has positive
+    private capacity.
     """
     top = float(np.linalg.eigvalsh(fam.base.matrix)[-1])
     if abs(top - 1.0) > tol.psd_tol:

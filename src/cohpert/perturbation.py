@@ -60,12 +60,6 @@ its 17 cells, so a unit bracket shrinks to ``PARAM_TOL`` in at most 9 rounds."""
 PARAM_TOL = 1e-8
 """Bracket width at which :func:`section_maximize` stops."""
 
-RADIUS_GRID_POINTS = 64
-"""Grid points on (0, 1] that :func:`admissible_radius` scans first."""
-
-RADIUS_TOL = 1e-6
-"""Width to which :func:`admissible_radius` bisects the boundary."""
-
 DIVERGENCE_TOL = 1e-7
 """Refinement increment below which :func:`fd_derivatives` calls an estimate converged."""
 
@@ -85,8 +79,8 @@ class PerturbationFamily:
     """State line ``rho(eps) = rho + eps A1 + eps^2 A2``.
 
     ``A1`` and ``A2`` must be traceless Hermitian; ``A2`` may be zero.
-    The family must admit some positive radius of valid states, which
-    :func:`admissible_radius` certifies.
+    :func:`admissible_radius` gives the exact ``eps`` up to which
+    ``rho(eps)`` stays a state within ``psd_tol``.
     """
 
     base: DensityMatrix
@@ -138,36 +132,37 @@ def _line_stacks(
 
 
 def admissible_radius(fam: PerturbationFamily, tol: Tolerances = DEFAULT) -> float:
-    """Largest certified ``eps`` in (0, 1] keeping ``rho(eps)`` a state.
+    """Largest ``eps`` in [0, 1] up to which ``rho(eps)`` keeps every
+    eigenvalue at or above ``-psd_tol``, as :func:`state_at` requires; 0.0
+    when a base eigenvalue sits at ``-psd_tol``.
 
-    Scans a refinement grid, in stacked eigensolver calls, for the first
-    failure of positive semidefiniteness, then bisects the boundary to
-    ``RADIUS_TOL``.  Returns 1.0 (capped) when the whole grid passes and 0.0
-    when even ``eps = 1e-9`` fails.
+    With ``w = V (L + psd_tol)^{-1/2}`` from the base's ``eigh``, every
+    boundary is an ``eps = 1/mu`` for an eigenvalue ``mu`` of
+    ``[[0, I], [-w^dag A2 w, -w^dag A1 w]]`` (Tisseur and Meerbergen, SIAM Rev.
+    43, 235 (2001)).  One stacked ``eigvalsh`` at the midpoints between these
+    finds the first interval outside the family, and two Newton steps on
+    ``lambda_min + psd_tol`` polish its left end.
     """
-
-    def ok(eps: float) -> bool:
-        return float(np.linalg.eigvalsh(fam.matrix_at(eps))[0]) >= -tol.psd_tol
-
-    if not ok(1e-9):
+    t, d = tol.psd_tol, fam.base.dim
+    lam, v = np.linalg.eigh(fam.base.matrix)
+    if lam[0] + t <= 0.0:
         return 0.0
-    grid = np.linspace(0.0, 1.0, RADIUS_GRID_POINTS + 1)[1:]
-    stacks = _line_stacks(fam.base.matrix, fam.a1.matrix, fam.a2.matrix, grid)
-    bad = np.flatnonzero(
-        np.concatenate([np.linalg.eigvalsh(stack)[:, 0] for stack in stacks]) < -tol.psd_tol
-    )
+    w = v / np.sqrt(lam + t)
+    a1, a2 = (w.conj().T @ op.matrix @ w for op in (fam.a1, fam.a2))
+    mu = np.linalg.eigvals(np.concatenate([np.eye(2 * d)[d:], -np.hstack([a2, a1])])).real
+    # every real root is a candidate; the real parts of complex pairs only split intervals
+    roots = np.sort(np.concatenate(([0.0, 1.0], 1.0 / mu[mu >= 1.0])))
+    mids = 0.5 * (roots[:-1] + roots[1:])
+    stacks = _line_stacks(fam.base.matrix, fam.a1.matrix, fam.a2.matrix, mids)
+    bad = np.flatnonzero(np.concatenate([np.linalg.eigvalsh(s)[:, 0] for s in stacks]) < -t)
     if not bad.size:
         return 1.0
-    first = int(bad[0])
-    lo = float(grid[first - 1]) if first else 1e-9
-    hi = float(grid[first])
-    while hi - lo > RADIUS_TOL:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    eps = float(roots[bad[0]])
+    for _ in range(2):
+        lam, v = np.linalg.eigh(fam.matrix_at(eps))
+        slope = (v[:, 0].conj() @ (fam.a1.matrix + 2.0 * eps * fam.a2.matrix) @ v[:, 0]).real
+        eps -= (lam[0] + t) / slope
+    return float(eps)
 
 
 def state_at(fam: PerturbationFamily, eps: float, tol: Tolerances = DEFAULT) -> DensityMatrix:

@@ -87,12 +87,10 @@ class ScenarioConfig:
         grid = None
         if obj.get("grid") is not None:
             g = obj["grid"]
-            try:
-                lo, hi, steps = float(g["lo"]), float(g["hi"]), g["steps"]
-            except (KeyError, TypeError) as exc:
-                raise ValueError(
-                    f"grid must be an object with numeric lo, hi and steps, got {g!r}"
-                ) from exc
+            if not (isinstance(g, Mapping) and {"lo", "hi", "steps"} <= g.keys()):
+                raise ValueError(f"grid must be an object with numeric lo, hi and steps, got {g!r}")
+            lo, hi = (_json_number(f"grid {key}", g[key]) for key in ("lo", "hi"))
+            steps = g["steps"]
             if isinstance(steps, bool) or not (
                 isinstance(steps, int) or isinstance(steps, float) and steps.is_integer()
             ):
@@ -102,17 +100,24 @@ class ScenarioConfig:
         if not isinstance(params, Mapping):
             raise ValueError(f"params must be an object of numbers, got {params!r}")
         for key, value in params.items():
-            try:
-                float(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"param {key!r} must be a number, got {value!r}") from None
+            _json_number(f"param {key!r}", value)
+        for key in ("scenario", "output", "format"):
+            if not isinstance(obj.get(key, ""), str):
+                raise ValueError(f"{key} must be a string, got {obj[key]!r}")
         return cls(
             scenario=obj.get("scenario", ""),
             params=dict(params),
             grid=grid,
-            output=str(obj.get("output", ".")),
-            fmt=str(obj.get("format", "both")),
+            output=obj.get("output", "."),
+            fmt=obj.get("format", "both"),
         )
+
+
+def _json_number(what: str, value: object) -> float:
+    """``float(value)``; a ``ValueError`` unless it is a JSON number (not ``true`` or ``"0.2"``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------

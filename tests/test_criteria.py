@@ -282,13 +282,13 @@ def test_detect_private_gap_depolarizing(p):
     [
         # the output eigenvalue 0.05 joins the kernel: both outputs are rank
         # deficient, C1 fails and C2 decides, failing too
-        ({"kernel_tol": 0.1}, lambda report: report.conclusion == "inconclusive"),
-        # the PSD slack admits a slightly larger r-bar
-        ({"psd_tol": 1e-6}, lambda report: report.admissible_r > 0.5),
+        ({"kernel_tol": 0.1}, lambda report, _: report.conclusion == "inconclusive"),
+        # the PSD slack admits a larger r-bar than the default run's
+        ({"psd_tol": 1e-6}, lambda report, default: report.admissible_r > default.admissible_r),
         # the C1 margin of 0.147 no longer clears the decision margin
-        ({"decision_tol": 0.5}, lambda report: report.criterion_report.verdict == "fails"),
+        ({"decision_tol": 0.5}, lambda report, _: report.criterion_report.verdict == "fails"),
         # the witness of -1.46e-8 bits no longer clears the numeric margin
-        ({"numeric_margin": 1e-5}, lambda report: report.numeric_confirmation is None),
+        ({"numeric_margin": 1e-5}, lambda report, _: report.numeric_confirmation is None),
     ],
     ids=["kernel_tol", "psd_tol", "decision_tol", "numeric_margin"],
 )
@@ -296,8 +296,8 @@ def test_tolerance_field_reaches_private_gap_detector(override, changed):
     args = (depolarizing_channel(0.1), DensityMatrix.maximally_mixed(2), qubit_flip_family())
     default = detect_private_gap(*args)
     assert default.conclusion == "gap_detected"
-    assert not changed(default)
-    assert changed(detect_private_gap(*args, tol=Tolerances(**override)))
+    assert not changed(default, default)
+    assert changed(detect_private_gap(*args, tol=Tolerances(**override)), default)
 
 
 def _default_gap_grid(fam):
@@ -328,8 +328,30 @@ def test_stacked_admissible_r_equals_per_eps_loop(rng):
         grid = grid or _default_gap_grid(fam)
         channel = ch if fam.base.dim == 2 else random_channel(rng, fam.base.dim, 2, 3)
         report = detect_private_gap(channel, sigma, fam, eps_grid=grid)
-        assert report.admissible_r == loop_admissible_r(sigma, fam, grid)
+        reference = loop_admissible_r(sigma, fam, grid, r_tol=1e-12)
+        assert report.admissible_r == pytest.approx(reference, rel=1e-9)
     assert 0.05 < detect_private_gap(ch, flip.base, flip, eps_grid=cases[-2][2]).admissible_r < 0.2
+
+
+def test_exact_r_bar_brackets_the_bisection_on_every_dephrasure_gap_row():
+    # at the default dephrasure-gap rows the exact r-bar lies at or above a
+    # bisection of the same predicate to 1e-6, and within R_TOL of it
+    for q in np.linspace(0.0, 0.44, 23):
+        ch = dephrasure_channel(0.1, float(q))
+        sigma, _ = optimal_line_search(ch)
+        state, _, _ = criteria.complement_line_witness(ch)
+        r_bar = detect_private_gap_via_complement(ch, sigma).admissible_r
+        point = PerturbationFamily.build(state, HermitianOperator.zero(state.dim))
+        bisected = loop_admissible_r(sigma, point, (0.0,), r_tol=1e-6)
+        assert bisected <= r_bar <= bisected + criteria.R_TOL, q
+
+
+def test_admissible_r_is_zero_when_sigma_sits_at_minus_psd_tol():
+    # sigma + psd_tol I is singular, and the mixed state weighs its kernel
+    t = Tolerances().psd_tol
+    sigma = DensityMatrix.from_matrix(np.diag([1.0 + t, -t]))
+    states = DensityMatrix.maximally_mixed(2).matrix[None]
+    assert criteria._largest_admissible_r(sigma, states, Tolerances()) == 0.0
 
 
 def test_stacked_admissible_r_rejects_grid_outside_the_family():
@@ -340,13 +362,15 @@ def test_stacked_admissible_r_rejects_grid_outside_the_family():
         detect_private_gap(ch, sigma, fam, eps_grid=(0.1, -0.1))
 
 
-def test_admissible_r_spends_at_most_25_eigensolver_calls(monkeypatch):
+def test_admissible_r_spends_one_eigh_and_one_eigvalsh_call(monkeypatch):
     calls = []
-    eigvalsh = np.linalg.eigvalsh
     inside = []
-    monkeypatch.setattr(
-        np.linalg, "eigvalsh", lambda m: calls.append(bool(inside)) or eigvalsh(m)
-    )
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name,
+            lambda m, name=name, solver=solver: inside and calls.append(name) or solver(m),
+        )
     search = criteria._largest_admissible_r
 
     def counted(*args, **kwargs):
@@ -360,8 +384,9 @@ def test_admissible_r_spends_at_most_25_eigensolver_calls(monkeypatch):
     report = detect_private_gap(
         depolarizing_channel(0.1), DensityMatrix.maximally_mixed(2), qubit_flip_family()
     )
-    assert report.admissible_r == pytest.approx(0.5, abs=2e-6)
-    assert 0 < sum(calls) <= 25
+    # (1/2 + psd_tol) / (1 - 1e-8): the grid's first state is diag(1 - 1e-8, 1e-8)
+    assert report.admissible_r == pytest.approx((0.5 + 1e-9) / (1 - 1e-8), rel=1e-12)
+    assert sorted(calls) == ["eigh", "eigvalsh"]
 
 
 def test_detect_private_gap_requires_pure_base():

@@ -7,12 +7,17 @@ exactly; numbers compare within ``1e-12 + 1e-9 * |golden|``, which is
 round-off for these tables and far below any value a refactor may move.
 The JSON comparison skips only each detector's ``criteria`` list, which
 the golden files predate.
+
+``eig_counts.json`` holds the number of calls each default run makes to
+each numpy eigensolver, a machine-independent cost: a change that moves a
+count updates that file and says why.
 """
 
 import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cohpert import ScenarioConfig, run_scenario
@@ -20,6 +25,7 @@ from cohpert.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = ("depolarizing-n2", "platypus-ad", "gap-depolarizing", "dephrasure-gap", "hashing-curve")
+EIG_SOLVERS = ("eigh", "eigvalsh", "eigvals", "eig")
 EXACT_COLUMNS = {"verdict", "conclusion", "below_positive_ic_boundary"}
 IGNORED_JSON_KEYS = {"criteria"}
 
@@ -74,6 +80,20 @@ def test_scenario_reproduces_golden_json_report(name, tmp_path):
     with open(GOLDEN / f"{name}.json", encoding="utf-8") as fh:
         want = json.load(fh)
     assert_json_matches(got, want, name)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_scenario_eig_counts_match_golden(name, tmp_path, monkeypatch):
+    counts = dict.fromkeys(EIG_SOLVERS, 0)
+    for solver in EIG_SOLVERS:
+        def counted(*args, solver=solver, fn=getattr(np.linalg, solver), **kwargs):
+            counts[solver] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, solver, counted)
+    run_scenario(ScenarioConfig(name, output=str(tmp_path), fmt="csv"))
+    with open(GOLDEN / "eig_counts.json", encoding="utf-8") as fh:
+        assert counts == json.load(fh)[name]
 
 
 def test_help_schemas_match_golden_headers(capsys):

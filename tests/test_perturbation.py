@@ -41,6 +41,7 @@ from cohpert.perturbation import (
     log_weighted_trace,
 )
 from cohpert.scenarios import platypus_ad_family, qubit_flip_family, two_qubit_tilt_family
+from cohpert.tolerances import DEFAULT
 from conftest import (
     closed_form_w_traces,
     decimal_w_trace,
@@ -98,10 +99,62 @@ def test_admissible_radius_platypus_family():
 
 
 def test_admissible_radius_zero_when_direction_breaks_immediately():
+    # rho(eps) = diag(1 + 2 eps, -2 eps) keeps its eigenvalues at or above
+    # -psd_tol exactly up to eps = psd_tol / 2
     base = DensityMatrix.pure([1.0, 0.0])
     a1 = HermitianOperator.from_matrix(np.diag([2.0, -2.0]))
     fam = PerturbationFamily.build(base, a1)
-    assert admissible_radius(fam) == 0.0
+    assert admissible_radius(fam) == pytest.approx(DEFAULT.psd_tol / 2, rel=1e-12)
+    # a base eigenvalue already at -psd_tol leaves no room at all
+    edge = DensityMatrix.from_matrix(np.diag([1.0 + DEFAULT.psd_tol, -DEFAULT.psd_tol]))
+    assert admissible_radius(PerturbationFamily.build(edge, a1)) == 0.0
+
+
+def test_admissible_radius_stops_at_a_narrow_hole():
+    # rho(eps) = diag(c (eps - r1)(eps - r2), 1 - c (eps - r1)(eps - r2)) dips
+    # to -1.9e-6 on (r1, r2), a hole narrower than a 64-point scan's spacing
+    r1, r2 = 0.5068, 0.5088
+    c = 1.0 / (2.0 * r1 * r2)
+    a1 = HermitianOperator.from_matrix(np.diag([-c * (r1 + r2), c * (r1 + r2)]))
+    a2 = HermitianOperator.from_matrix(np.diag([c, -c]))
+    fam = PerturbationFamily.build(DensityMatrix.maximally_mixed(2), a1, a2)
+    # the first root of c (eps - r1)(eps - r2) = -psd_tol
+    exact = 0.5 * (r1 + r2 - math.sqrt((r2 - r1) ** 2 - 4.0 * DEFAULT.psd_tol / c))
+    radius = admissible_radius(fam)
+    assert radius == pytest.approx(exact, rel=1e-12)
+    state_at(fam, 0.999 * radius)
+    with pytest.raises(PositivityError):
+        state_at(fam, 0.5 * (r1 + r2))
+
+
+def test_admissible_radius_matches_a_dense_scan_on_random_families():
+    # 256 seeded families, d = 2..5, every base rank (pure ones included),
+    # half with A2 != 0.  A plain stacked eigvalsh scan of 2000 points on
+    # (0, 1] finds no state below -psd_tol up to the radius, and the family
+    # already fails a relative 1e-5 past it.
+    rng = np.random.default_rng(17)
+    t = DEFAULT.psd_tol
+    grid = np.linspace(0.0, 1.0, 2001)[1:]
+    capped = 0
+    for k in range(256):
+        dim = 2 + k % 4
+        base = random_density(rng, dim, rank=1 + (k // 4) % dim)
+        a1 = random_traceless(rng, dim, rng.uniform(0.1, 3.0) / dim)
+        a2 = random_traceless(rng, dim, rng.uniform(0.1, 3.0) / dim) if (k // 16) % 2 else None
+        fam = PerturbationFamily.build(base, a1, a2)
+        radius = admissible_radius(fam)
+
+        def lowest(eps):
+            e = eps[:, None, None]
+            return np.linalg.eigvalsh(fam.base.matrix + e * fam.a1.matrix + e * e * fam.a2.matrix)[:, 0]
+
+        assert np.all(lowest(grid[grid <= radius]) >= -t), k
+        if radius < 1.0:
+            assert lowest(np.array([radius * (1.0 + 1e-5) + 1e-11]))[0] < -t, k
+        else:
+            capped += 1
+            assert radius == 1.0 and np.all(lowest(grid) >= -t), k
+    assert 0 < capped < 32
 
 
 def test_state_at_base_and_diagonal():

@@ -335,6 +335,38 @@ def test_cli_scan_malformed_params_is_an_error(tmp_path, capsys, config, key):
     assert err.startswith("error: ") and key in err
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (
+            {"scenario": "hashing-curve", "grid": {"lo": "0.2", "hi": True, "steps": 3}},
+            "grid lo must be a number, got '0.2'",
+        ),
+        (
+            {"scenario": "hashing-curve", "grid": {"lo": 0.2, "hi": True, "steps": 3}},
+            "grid hi must be a number, got True",
+        ),
+        ({"scenario": "gap-depolarizing", "params": {"p": True}}, "param 'p' must be a number, got True"),
+        ({"scenario": "gap-depolarizing", "params": {"p": "0.1"}}, "param 'p' must be a number, got '0.1'"),
+        ({"scenario": "hashing-curve", "output": None}, "output must be a string, got None"),
+        ({"scenario": "hashing-curve", "output": 5}, "output must be a string, got 5"),
+        ({"scenario": "hashing-curve", "format": ["csv"]}, "format must be a string, got ['csv']"),
+        ({"scenario": ["hashing-curve"]}, "scenario must be a string, got ['hashing-curve']"),
+    ],
+)
+def test_cli_scan_rejects_values_that_are_not_json_numbers_or_strings(
+    tmp_path, capsys, monkeypatch, config, message
+):
+    # run from an empty directory: a scan that accepted the config would
+    # write there ("." by default, "None" or "5" for those outputs)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(config))
+    assert main(["scan", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == ["scan.json"]
+
+
 def test_cli_check_missing_channel_parameter_is_an_error(tmp_path, capsys):
     config = identity_check_config()
     config["channel"] = {"family": "depolarizing", "params": {}}
