@@ -195,12 +195,17 @@ def tensor_all(channels: Sequence[QuantumChannel]) -> QuantumChannel:
     return out
 
 
-def _number(name: str, value: object) -> float:
-    """``float(value)``, or a ``ValueError`` naming the parameter."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"parameter {name} must be a number, got {value!r}") from None
+def _is_number_type(kind: type) -> bool:
+    """Whether values of type ``kind`` are real numbers: ``bool`` and ``str`` are not."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+
+def _number(what: str, value: object) -> float:
+    """``float(value)``, or a ``ValueError`` naming ``what`` unless ``value``
+    is a real number (:func:`_is_number_type`)."""
+    if not _is_number_type(type(value)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _check_dimension(dim: object) -> int:
@@ -214,7 +219,7 @@ def _check_dimension(dim: object) -> int:
 
 
 def _check_unit_interval(name: str, value: float) -> float:
-    value = _number(name, value)
+    value = _number(f"parameter {name}", value)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"parameter {name}={value!r} outside [0, 1]")
     return value
@@ -234,7 +239,7 @@ def depolarizing_channel(p: float) -> QuantumChannel:
 def pauli_channel(probs: Sequence[float]) -> QuantumChannel:
     """Qubit Pauli channel with Kraus operators ``sqrt(p_i) sigma_i``."""
     try:
-        probs = [float(q) for q in probs]
+        probs = [_number("parameter probs", q) for q in probs]
     except (TypeError, ValueError):
         raise ValueError(f"parameter probs must be 4 numbers, got {probs!r}") from None
     if len(probs) != 4:
@@ -262,7 +267,7 @@ def platypus_channel(s: float) -> QuantumChannel:
     ``|1> -> |2>|0>`` and ``|2> -> |2>|1>`` (output (x) environment); the two
     Kraus operators are the environment components of that isometry.
     """
-    s = _number("s", s)
+    s = _number("parameter s", s)
     if not 0.0 < s <= 0.5:
         raise ValueError(f"parameter s={s!r} outside (0, 1/2]")
     k0 = np.zeros((3, 3), dtype=complex)
@@ -320,18 +325,20 @@ def identity_channel(dim: int = 2) -> QuantumChannel:
 
 
 def matrix_from_pairs(nested: Sequence) -> np.ndarray:
-    """Decode a matrix given as nested rows of ``[re, im]`` pairs."""
+    """Decode a matrix given as nested rows of ``[re, im]`` pairs of numbers
+    (:func:`_is_number_type`: not ``true`` or ``"1"``)."""
     try:
-        arr = np.asarray(nested, dtype=float)
-    except (TypeError, ValueError) as exc:
+        entries = np.asarray(nested, dtype=object)
+    except ValueError as exc:
         raise ValueError(f"matrix entries must be [re, im] pairs of numbers: {exc}") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValueError(f"matrix must be rows of [re, im] pairs, got shape {arr.shape}")
+    if entries.ndim != 3 or entries.shape[2] != 2:
+        raise ValueError(f"matrix must be rows of [re, im] pairs, got shape {entries.shape}")
+    # numpy would read true as 1.0 and "1" as 1.0, so each entry's type is checked
+    bad = [kind for kind in set(map(type, entries.ravel().tolist())) if not _is_number_type(kind)]
+    if bad:
+        raise ValueError(f"matrix entries must be [re, im] pairs of numbers, got {bad[0].__name__}")
+    arr = entries.astype(float)
     return arr[:, :, 0] + 1j * arr[:, :, 1]
-
-
-def matrix_to_pairs(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
 def _param(spec: ChannelSpec, name: str) -> object:

@@ -35,14 +35,14 @@ def _parse_grid(text: str) -> GridSpec:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _parse_kv(pairs: Sequence[str], cast=float) -> dict:
+def _parse_kv(pairs: Sequence[str]) -> dict:
     out = {}
     for pair in pairs or ():
         if "=" not in pair:
             raise ValueError(f"expected key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         try:
-            out[key] = cast(value)
+            out[key] = float(value)
         except ValueError as exc:
             raise ValueError(f"bad value in {pair!r}: {exc}") from exc
     return out

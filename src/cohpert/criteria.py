@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .channels import QuantumChannel, tensor_all
-from .errors import NoSignChangeError, RankCaseError
+from .errors import NoSignChangeError
 from .info import coherent_information
 from .linalg import DensityMatrix
 from .perturbation import (
@@ -196,28 +196,6 @@ def _criterion(ev: FamilyEvaluator, name: str, sense: str) -> CriterionReport:
     )
 
 
-def classify_first_order(
-    ch: QuantumChannel,
-    fam: PerturbationFamily,
-    tol: Tolerances = DEFAULT,
-) -> CriterionReport:
-    """Full-rank first-derivative test: fires when ``f'(0) > 0``.
-
-    Compares C3's first-order pair, the ``tr(A1 ln .)`` traces of the two
-    full-rank outputs; the margin equals ``f'(0)`` in natural-log units.  At
-    a tensor product of optimal states (with all single-channel outputs
-    full rank) this can never fire: the first derivative is non-positive
-    for every traceless direction.
-    """
-    c3 = FamilyEvaluator(ch, fam, tol).comparison("C3")
-    if c3 is None:
-        raise RankCaseError("first-order classification needs both outputs full rank")
-    (_, t1_out), (_, t1_env) = c3.checks
-    margin = t1_env - t1_out
-    verdict = "fires" if margin > tol.decision_tol else "fails"
-    return CriterionReport("THM1_FULLRANK", "positive_f", verdict, t1_env, t1_out, margin)
-
-
 def _channel_json(ch: QuantumChannel) -> dict:
     if ch.spec is not None:
         return ch.spec.to_json()
@@ -297,7 +275,7 @@ def detect_superadditivity(
                 ev.coherent_information([witness[0]])[0]
             ),
             "sum_of_single_channel_coherent_information": sum(
-                coherent_information(state, ch, tol).value
+                coherent_information(state, ch, tol)
                 for ch, state in zip(channels, optimal_states)
             ),
         }

@@ -1,7 +1,9 @@
 """Entropic quantities: von Neumann entropy, coherent information, and
 private and Holevo information of ensembles.
 
-All values are reported in bits (log base 2).
+Every value is a plain ``float`` in bits (log base 2).  Eigenvalues in
+``[-psd_tol, 0)`` are round-off and clamped to zero; a lower one raises
+:class:`~cohpert.errors.PositivityError`.
 """
 
 from __future__ import annotations
@@ -15,20 +17,6 @@ from .channels import QuantumChannel, apply, apply_matrix, complement
 from .errors import DimensionError, PositivityError
 from .linalg import DensityMatrix
 from .tolerances import DEFAULT, Tolerances
-
-FLAG_CLAMPED = "negative_eigenvalue_clamped"
-FLAG_LINE_MAX_NONPOSITIVE = "line_maximum_nonpositive"
-
-
-@dataclass(frozen=True)
-class InfoValue:
-    """A scalar information quantity in bits plus numerical condition flags."""
-
-    value: float
-    flags: frozenset[str] = frozenset()
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -64,26 +52,25 @@ def _entropy_bits(eigenvalues: np.ndarray) -> np.ndarray:
     return -(kept * np.log2(kept)).sum(axis=-1)
 
 
-def _spectrum_entropy(raw: np.ndarray, tol: Tolerances) -> InfoValue:
+def _spectrum_entropy(raw: np.ndarray, tol: Tolerances) -> float:
     """:func:`von_neumann_entropy` of a state with ascending eigenvalues ``raw``."""
     if raw[0] < -tol.psd_tol:
         raise PositivityError(f"eigenvalue {raw[0]:.3e} below -{tol.psd_tol:.1e}")
-    flags = frozenset({FLAG_CLAMPED} if raw[0] < 0.0 else ())
-    return InfoValue(float(_entropy_bits(np.clip(raw, 0.0, None))), flags)
+    return float(_entropy_bits(np.clip(raw, 0.0, None)))
 
 
-def von_neumann_entropy(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> InfoValue:
+def von_neumann_entropy(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> float:
     """Entropy ``-sum_i w_i log2 w_i`` with the continuous ``0 log 0 = 0`` rule.
 
-    Eigenvalues in ``[-tol.psd_tol, 0)`` are clamped to zero (flagged);
-    every positive eigenvalue contributes, however small.
+    Eigenvalues in ``[-tol.psd_tol, 0)`` are clamped to zero; every positive
+    eigenvalue contributes, however small.
     """
     return _spectrum_entropy(np.linalg.eigvalsh(rho.matrix), tol)
 
 
 def coherent_information(
     rho: DensityMatrix, ch: QuantumChannel, tol: Tolerances = DEFAULT
-) -> InfoValue:
+) -> float:
     """``S(N(rho)) - S(Nc(rho))`` in bits, with ``Nc`` the canonical complement.
     Each image's entropy comes from the spectrum that its validation computes."""
     out, env = (
@@ -92,30 +79,18 @@ def coherent_information(
         )
         for side in (ch, complement(ch))
     )
-    return InfoValue(out.value - env.value, out.flags | env.flags)
+    return out - env
 
 
-def holevo_information(ens: Ensemble, ch: QuantumChannel) -> InfoValue:
+def holevo_information(ens: Ensemble, ch: QuantumChannel) -> float:
     """``S(N(rho)) - sum_i p_i S(N(rho_i))`` for the ensemble mixture ``rho``."""
-    flags: frozenset[str] = frozenset()
-    mixed = von_neumann_entropy(apply(ch, ens.mixture()))
-    flags |= mixed.flags
-    total = mixed.value
-    for p, state in zip(ens.weights, ens.states):
-        member = von_neumann_entropy(apply(ch, state))
-        flags |= member.flags
-        total -= p * member.value
-    return InfoValue(total, flags)
+    return von_neumann_entropy(apply(ch, ens.mixture())) - sum(
+        p * von_neumann_entropy(apply(ch, state)) for p, state in zip(ens.weights, ens.states)
+    )
 
 
-def private_information(ens: Ensemble, ch: QuantumChannel) -> InfoValue:
+def private_information(ens: Ensemble, ch: QuantumChannel) -> float:
     """Coherent information of the mixture minus the ensemble average of members."""
-    flags: frozenset[str] = frozenset()
-    mixed = coherent_information(ens.mixture(), ch)
-    flags |= mixed.flags
-    total = mixed.value
-    for p, state in zip(ens.weights, ens.states):
-        member = coherent_information(state, ch)
-        flags |= member.flags
-        total -= p * member.value
-    return InfoValue(total, flags)
+    return coherent_information(ens.mixture(), ch) - sum(
+        p * coherent_information(state, ch) for p, state in zip(ens.weights, ens.states)
+    )

@@ -3,8 +3,7 @@
 Given a base state ``rho`` perturbed along traceless Hermitian directions,
 ``rho(eps) = rho + eps A1 + eps^2 A2``, this module computes the spectral
 quantities that control the first and second derivatives of the output
-entropies, classifies the full-rank / rank-deficient cases, and provides
-exact ``f(eps)`` evaluation plus an independent finite-difference oracle.
+entropies and classifies the full-rank / rank-deficient cases.
 :class:`FamilyEvaluator` holds the channel images and spectra of one
 (channel, family) pair, so that each is computed once, and the one table of
 the traces each criterion compares, which :func:`derivative_profile` and the
@@ -27,7 +26,7 @@ import numpy as np
 
 from .channels import QuantumChannel, apply_matrix, complement
 from .errors import RankCaseError
-from .info import FLAG_LINE_MAX_NONPOSITIVE, InfoValue, _entropy_bits
+from .info import _entropy_bits
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
@@ -41,12 +40,8 @@ LN2 = float(np.log(2.0))
 
 POSITIVE_INFINITY = "+inf"
 NEGATIVE_INFINITY = "-inf"
-DIVERGENT = "divergent"
 
 DerivativeValue = Union[float, str, None]
-
-DEFAULT_FD_STEPS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
-"""Halving steps of :func:`fd_derivatives`, largest first."""
 
 STACK_ENTRIES = 2 ** 12
 """Complex entries (64 KiB) in one stacked ``eigvalsh`` call along a family:
@@ -59,9 +54,6 @@ its 17 cells, so a unit bracket shrinks to ``PARAM_TOL`` in at most 9 rounds."""
 
 PARAM_TOL = 1e-8
 """Bracket width at which :func:`section_maximize` stops."""
-
-DIVERGENCE_TOL = 1e-7
-"""Refinement increment below which :func:`fd_derivatives` calls an estimate converged."""
 
 RANK_BOTH_FULL = "both_full"
 RANK_ONE_DEFICIENT = "one_deficient"
@@ -488,20 +480,20 @@ def section_maximize(
 
 def optimal_line_search(
     ch: QuantumChannel, tol: Tolerances = DEFAULT
-) -> tuple[DensityMatrix, InfoValue]:
+) -> tuple[DensityMatrix, float]:
     """Maximize coherent information on the diagonal input line
     ``(1-u)|0><0| + u|d-1><d-1|``, ``d = ch.dim_in`` (:func:`basis_line` ``"z"``).
 
     The line has pure endpoints, so its maximum is never negative; when no
-    interior point beats the endpoints the result is clamped to 0 and flagged.
+    interior point beats the endpoints the result is clamped to 0 at ``u = 0``.
     """
     fam = basis_line(ch.dim_in, "z")
     ev = FamilyEvaluator(ch, fam, tol)
     u_star, value = section_maximize(ev.coherent_information, 0.0, 1.0)
     if value > 0.0:
-        return state_at(fam, u_star, tol), InfoValue(value)
+        return state_at(fam, u_star, tol), value
     # no interior point beats the pure endpoint u = 0, whose I_c is exactly 0
-    return fam.base, InfoValue(0.0, frozenset({FLAG_LINE_MAX_NONPOSITIVE}))
+    return fam.base, 0.0
 
 
 def _infinity(value: float) -> str:
@@ -523,11 +515,12 @@ def derivative_profile(
 
     A view of the criteria's comparisons (:meth:`FamilyEvaluator.comparison`)
     at the same tolerances.  With both outputs full rank, ``ln 2 * f'(0+)``
-    and ``ln 2 * f''(0+)`` are the margins of ``classify_first_order`` and
-    of C3.  Otherwise ``f'`` diverges (``log``, and ``f''`` the other way
-    like ``1/eps``: ``inverse``) exactly when C1 fires, cut at
-    ``decision_tol``; failing that, when C2's first-order traces vanish,
-    ``f'(0+) = 0`` and ``f''`` diverges (``log``) exactly when C2 fires.
+    is the environment-side minus the output-side ``tr(A1 ln .)`` trace of
+    C3's first-order checks, and ``ln 2 * f''(0+)`` is C3's margin.
+    Otherwise ``f'`` diverges (``log``, and ``f''`` the other way like
+    ``1/eps``: ``inverse``) exactly when C1 fires, cut at ``decision_tol``;
+    failing that, when C2's first-order traces vanish, ``f'(0+) = 0`` and
+    ``f''`` diverges (``log``) exactly when C2 fires.
     """
     ev = FamilyEvaluator(ch, fam, tol)
     out, env = ev.out, ev.env
@@ -583,55 +576,3 @@ def derivative_profile(
         cluster_traces_env=env.cluster_traces(),
         warnings=tuple(warnings),
     )
-
-
-def f_eval(ch: QuantumChannel, fam: PerturbationFamily, eps: float) -> float:
-    """Exact coherent-information shift ``I_c(rho(eps)) - I_c(rho)`` in bits."""
-    return float(FamilyEvaluator(ch, fam).f_values([eps])[0])
-
-
-def _richardson(values: Sequence[float], order: int) -> list[float]:
-    """One Richardson level for step-halving sequences with error ~ h^order."""
-    factor = 2.0 ** order
-    return [
-        (factor * values[i + 1] - values[i]) / (factor - 1.0)
-        for i in range(len(values) - 1)
-    ]
-
-
-def _looks_divergent(estimates: Sequence[float]) -> bool:
-    """Heuristic: differences between successive refinements must shrink.
-
-    For a smooth limit the halving steps shrink the increments roughly
-    geometrically; a ``log(eps)`` blow-up keeps them constant.
-    """
-    diffs = [abs(estimates[i + 1] - estimates[i]) for i in range(len(estimates) - 1)]
-    if diffs[-1] <= DIVERGENCE_TOL:
-        return False
-    return diffs[-1] > 0.75 * diffs[-2]
-
-
-def fd_derivatives(
-    ch: QuantumChannel, fam: PerturbationFamily
-) -> tuple[DerivativeValue, DerivativeValue]:
-    """One-sided finite-difference estimates of ``f'(0+)`` and ``f''(0+)`` in bits.
-
-    Uses forward differences over the halving steps ``DEFAULT_FD_STEPS``
-    with two levels of Richardson extrapolation.  Intended for the cases
-    with finite limits; when the raw estimates keep drifting (a ``log(eps)``
-    divergence) the corresponding entry is the marker ``"divergent"``
-    instead of a number.
-    """
-    steps = DEFAULT_FD_STEPS
-    f_vals = dict(zip(steps, map(float, FamilyEvaluator(ch, fam).f_values(steps))))
-
-    first_raw = [f_vals[h] / h for h in steps]
-    second_raw = [
-        (f_vals[big] - 2.0 * f_vals[small]) / (small * small)
-        for big, small in zip(steps, steps[1:])
-    ]
-    first, second = (
-        DIVERGENT if _looks_divergent(raw) else _richardson(_richardson(raw, 1), 2)[-1]
-        for raw in (first_raw, second_raw)
-    )
-    return first, second

@@ -19,6 +19,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .channels import (
+    _number,
     amplitude_damping_channel,
     channel_from_json,
     depolarizing_channel,
@@ -89,7 +90,7 @@ class ScenarioConfig:
             g = obj["grid"]
             if not (isinstance(g, Mapping) and {"lo", "hi", "steps"} <= g.keys()):
                 raise ValueError(f"grid must be an object with numeric lo, hi and steps, got {g!r}")
-            lo, hi = (_json_number(f"grid {key}", g[key]) for key in ("lo", "hi"))
+            lo, hi = (_number(f"grid {key}", g[key]) for key in ("lo", "hi"))
             steps = g["steps"]
             if isinstance(steps, bool) or not (
                 isinstance(steps, int) or isinstance(steps, float) and steps.is_integer()
@@ -100,7 +101,7 @@ class ScenarioConfig:
         if not isinstance(params, Mapping):
             raise ValueError(f"params must be an object of numbers, got {params!r}")
         for key, value in params.items():
-            _json_number(f"param {key!r}", value)
+            _number(f"param {key!r}", value)
         for key in ("scenario", "output", "format"):
             if not isinstance(obj.get(key, ""), str):
                 raise ValueError(f"{key} must be a string, got {obj[key]!r}")
@@ -111,13 +112,6 @@ class ScenarioConfig:
             output=obj.get("output", "."),
             fmt=obj.get("format", "both"),
         )
-
-
-def _json_number(what: str, value: object) -> float:
-    """``float(value)``; a ``ValueError`` unless it is a JSON number (not ``true`` or ``"0.2"``)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +226,7 @@ def _scenario_depolarizing_n2(cfg: ScenarioConfig) -> dict:
             "trace_w_env": report.lhs,
             "margin": report.margin,
             "verdict": report.verdict,
-            "ic_single": coherent_information(mixed, ch, cfg.tol).value,
+            "ic_single": coherent_information(mixed, ch, cfg.tol),
             "witness_eps": None if witness is None else witness[0],
             "witness_f": None if witness is None else witness[1],
             "conclusion": detector.conclusion,
@@ -262,7 +256,7 @@ def _scenario_hashing_curve(cfg: ScenarioConfig) -> dict:
 
     def ic_bits(p: float) -> float:
         mixed = DensityMatrix.maximally_mixed(2)
-        return coherent_information(mixed, depolarizing_channel(p), cfg.tol).value
+        return coherent_information(mixed, depolarizing_channel(p), cfg.tol)
 
     rows = [{"p": p, "ic_bits": ic_bits(p)} for p in grid.values()]
     threshold, note = _bracket_threshold([(r["p"], r["ic_bits"]) for r in rows], ic_bits)
@@ -360,7 +354,7 @@ def _scenario_dephrasure_gap(cfg: ScenarioConfig) -> dict:
         detector = detect_private_gap_via_complement(ch, sigma, cfg.tol)
         return {
             "q": q,
-            "ic_primary": primary.value,
+            "ic_primary": primary,
             "u_primary": float(sigma.matrix[1, 1].real),
             "ic_complement_line": detector.criterion_report.lhs,
             "below_positive_ic_boundary": q < boundary,

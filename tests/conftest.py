@@ -206,6 +206,11 @@ def plain_images(kraus, m):
     return out, env
 
 
+def matrix_to_pairs(m):
+    """A matrix as the nested rows of ``[re, im]`` pairs that JSON configs use."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
 def plain_coherent_information(kraus, rho):
     """``S(N(rho)) - S(N^c(rho))`` in bits from the Kraus operators alone, with
     no eigenvalue cut."""
@@ -242,6 +247,19 @@ def plain_w0(state, b1, b2):
     """C2's trace ``tr(P0 B2) - tr(P0 B1 C0 B1 P0)``; 0 for a full-rank state."""
     p0, c0 = plain_kernel_split(state)
     return float(np.trace(p0 @ b2 - p0 @ b1 @ c0 @ b1 @ p0).real)
+
+
+def plain_first_derivative_bits(kraus, base, a1, a2, h=4e-3):
+    """``f'(0)`` in bits along ``base + eps a1 + eps^2 a2``, by central
+    differences of :func:`plain_coherent_information` with one Richardson step;
+    the family must stay a state on ``[-h, h]``."""
+    def f(eps):
+        return plain_coherent_information(kraus, base + eps * a1 + eps * eps * a2)
+
+    def central(step):
+        return (f(step) - f(-step)) / (2.0 * step)
+
+    return (4.0 * central(h / 2) - central(h)) / 3.0
 
 
 def plain_second_derivative_nats(kraus, base, a1, a2, h=4e-3):

@@ -15,7 +15,6 @@ DEFAULTED = {
     ("channels", "make_channel", "spec"),
     ("channels", "erasure_channel", "dim"),
     ("channels", "identity_channel", "dim"),
-    ("cli", "_parse_kv", "cast"),
     ("cli", "main", "argv"),
     ("criteria", "check_criterion", "sense"),
     ("criteria", "default_witness_grid", "lo"),
@@ -51,20 +50,20 @@ PUBLIC = {
     "dephrasure_channel", "erasure_channel", "identity_channel", "make_channel",
     "pauli_channel", "platypus_channel", "tensor", "tensor_all",
     # criteria
-    "CriterionReport", "DetectorReport", "check_criterion", "classify_first_order",
+    "CriterionReport", "DetectorReport", "check_criterion",
     "complement_line_witness", "detect_private_gap", "detect_private_gap_via_complement",
     "detect_superadditivity", "threshold_scan",
     # errors
     "CPTPError", "DimensionError", "HermiticityError", "NoSignChangeError",
     "PositivityError", "RankCaseError",
     # info
-    "Ensemble", "InfoValue", "coherent_information", "holevo_information",
+    "Ensemble", "coherent_information", "holevo_information",
     "private_information", "von_neumann_entropy",
     # linalg
     "DensityMatrix", "HermitianOperator", "SpectralDecomposition", "spectral_decompose",
     # perturbation
     "DerivativeProfile", "FamilyEvaluator", "PerturbationFamily", "admissible_radius",
-    "derivative_profile", "f_eval", "fd_derivatives", "line_between", "optimal_line_search",
+    "derivative_profile", "line_between", "optimal_line_search",
     "state_at", "w0_trace", "w_trace",
     # scenarios and tolerances
     "ScenarioConfig", "run_custom", "run_scenario", "Tolerances",

@@ -21,8 +21,8 @@ from cohpert import (
     platypus_channel,
     tensor,
 )
-from cohpert.channels import matrix_from_pairs, matrix_to_pairs
-from conftest import random_channel, random_density, random_pure
+from cohpert.channels import matrix_from_pairs
+from conftest import matrix_to_pairs, random_channel, random_density, random_pure
 
 
 def kraus_oracle(kraus, rho):

@@ -7,18 +7,15 @@ from cohpert import (
     HermitianOperator,
     NoSignChangeError,
     PerturbationFamily,
-    RankCaseError,
     Tolerances,
     amplitude_damping_channel,
     check_criterion,
-    classify_first_order,
     coherent_information,
     depolarizing_channel,
     dephrasure_channel,
     detect_private_gap,
     detect_private_gap_via_complement,
     detect_superadditivity,
-    f_eval,
     identity_channel,
     line_between,
     optimal_line_search,
@@ -30,7 +27,15 @@ from cohpert import PositivityError, admissible_radius, criteria
 from cohpert.criteria import SENSES, _criterion, default_witness_grid
 from cohpert.perturbation import LN2, FamilyEvaluator, derivative_profile
 from cohpert.scenarios import platypus_ad_family, qubit_flip_family, two_qubit_tilt_family
-from conftest import loop_admissible_r, random_channel, random_density, random_pure, random_traceless
+from cohpert.tolerances import DEFAULT
+from conftest import (
+    loop_admissible_r,
+    matrix_to_pairs,
+    random_channel,
+    random_density,
+    random_pure,
+    random_traceless,
+)
 
 
 def platypus_damping_pair(s=0.2, gamma=0.5):
@@ -139,7 +144,7 @@ def test_criterion3_fires_for_noisy_depolarizing():
     assert report.fires
     # soundness: a positive witness must exist on the default grid
     grid = default_witness_grid(1.0)
-    assert max(f_eval(ch, fam, eps) for eps in grid) > 0
+    assert FamilyEvaluator(ch, fam).f_values(grid).max() > 0
 
 
 def test_criterion3_inapplicable_on_rank_deficient_case():
@@ -194,26 +199,27 @@ def test_criterion3_sense_duality():
     neg = check_criterion(joint, fam, "C3", "negative_f")
     assert pos.margin == -neg.margin
     assert neg.fires  # the negative sense of this family genuinely fires
-    assert f_eval(joint, fam, 0.05) < 0
+    assert FamilyEvaluator(joint, fam).f_values([0.05])[0] < 0
 
 
 # --- first-order classification ---------------------------------------------
+# With both outputs full rank the first-order margin, environment-side minus
+# output-side tr(A1 ln .), is ln 2 * f'(0+) of the derivative profile.
 
 
 def test_classify_first_order_zero_direction():
     fam = PerturbationFamily.build(DensityMatrix.maximally_mixed(2), HermitianOperator.zero(2))
-    report = classify_first_order(depolarizing_channel(0.2), fam)
-    assert report.verdict == "fails"
-    assert report.margin == pytest.approx(0.0, abs=1e-12)
+    margin = LN2 * derivative_profile(depolarizing_channel(0.2), fam).fprime0
+    assert margin <= DEFAULT.decision_tol
+    assert margin == pytest.approx(0.0, abs=1e-12)
 
 
 def test_classify_first_order_fires_on_entropy_increase():
     rho = DensityMatrix.from_matrix(np.diag([0.9, 0.1]))
     a1 = HermitianOperator.from_matrix(np.diag([-0.05, 0.05]))
     fam = PerturbationFamily.build(rho, a1)
-    report = classify_first_order(identity_channel(2), fam)
-    assert report.fires
-    assert f_eval(identity_channel(2), fam, 0.01) > 0
+    assert LN2 * derivative_profile(identity_channel(2), fam).fprime0 > DEFAULT.decision_tol
+    assert FamilyEvaluator(identity_channel(2), fam).f_values([0.01])[0] > 0
 
 
 def test_classify_first_order_never_fires_at_product_optimum(rng):
@@ -222,13 +228,7 @@ def test_classify_first_order_never_fires_at_product_optimum(rng):
     base = DensityMatrix.maximally_mixed(4)
     for _ in range(20):
         fam = PerturbationFamily.build(base, random_traceless(rng, 4, scale=0.05))
-        report = classify_first_order(joint, fam)
-        assert report.margin <= 1e-9
-
-
-def test_classify_first_order_wrong_rank_case():
-    with pytest.raises(RankCaseError):
-        classify_first_order(depolarizing_channel(0.1), qubit_flip_family())
+        assert LN2 * derivative_profile(joint, fam).fprime0 <= 1e-9
 
 
 # --- detectors ---------------------------------------------------------------
@@ -400,7 +400,7 @@ def test_detect_private_gap_requires_pure_base():
 def test_detect_private_gap_via_complement_dephrasure_inside_region():
     ch = dephrasure_channel(0.1, 0.3)
     sigma, primary = optimal_line_search(ch)
-    assert primary.value > 0
+    assert primary > 0
     report = detect_private_gap_via_complement(ch, sigma)
     assert report.conclusion == "gap_detected"
     assert report.criterion_report.lhs > 0
@@ -411,7 +411,7 @@ def test_detect_private_gap_via_complement_outside_region():
     q = (1 - 0.2) ** 2 / (1 + (1 - 0.2) ** 2) + 0.02
     ch = dephrasure_channel(0.1, q)
     sigma, primary = optimal_line_search(ch)
-    assert primary.value <= 1e-6
+    assert primary <= 1e-6
     report = detect_private_gap_via_complement(ch, sigma)
     assert report.conclusion == "inconclusive"
 
@@ -437,7 +437,7 @@ def test_detector_reports_deterministic():
 
 
 def hashing_ic_bits(p):
-    return coherent_information(DensityMatrix.maximally_mixed(2), depolarizing_channel(p)).value
+    return coherent_information(DensityMatrix.maximally_mixed(2), depolarizing_channel(p))
 
 
 def test_threshold_scan_hashing_zero_crossing():
@@ -475,12 +475,11 @@ def test_criterion1_positive_sense_fires_on_complement_channel():
     assert report.lhs == pytest.approx(0.1 * (3 - 0.2) / 1.9, abs=1e-12)
     # soundness: a positive witness exists on the fine default grid
     grid = default_witness_grid(0.25, lo=1e-8, points=40)
-    assert max(f_eval(ch, fam, eps) for eps in grid) > 1e-8
+    assert FamilyEvaluator(ch, fam).f_values(grid).max() > 1e-8
 
 
 def test_run_custom_tensor_spec_round_trip():
     from cohpert import run_custom
-    from cohpert.channels import matrix_to_pairs
     from cohpert.scenarios import two_qubit_tilt_family
 
     fam = two_qubit_tilt_family()
@@ -552,7 +551,7 @@ def test_criterion2_negative_sense_fires_beyond_boundary():
     assert report.fires
     # soundness: a negative value of f exists
     grid = np.geomspace(1e-4, 0.14, 30)
-    assert min(f_eval(joint, fam, eps) for eps in grid) < -1e-8
+    assert FamilyEvaluator(joint, fam).f_values(grid).min() < -1e-8
 
 
 def test_criterion1_soundness_on_random_pure_lines(rng):
@@ -569,7 +568,7 @@ def test_criterion1_soundness_on_random_pure_lines(rng):
                 continue
             fired += 1
             grid = np.geomspace(1e-8, 0.5, 45)
-            if max(sign * f_eval(ch, fam, eps) for eps in grid) > 1e-8:
+            if (sign * FamilyEvaluator(ch, fam).f_values(grid)).max() > 1e-8:
                 confirmed += 1
     assert fired >= 10
     assert confirmed == fired
@@ -658,8 +657,8 @@ def test_derivative_profile_diverges_exactly_when_a_criterion_fires(tol):
         if profile.rank_case == "both_full":
             c3 = _criterion(ev, "C3", "positive_f")
             assert LN2 * profile.fsecond0 == pytest.approx(c3.margin, rel=1e-14, abs=0.0)
-            first = classify_first_order(ch, fam, tol)
-            assert LN2 * profile.fprime0 == pytest.approx(first.margin, rel=1e-14, abs=0.0)
+            (_, t1_out), (_, t1_env) = ev.comparison("C3").checks
+            assert LN2 * profile.fprime0 == pytest.approx(t1_env - t1_out, rel=1e-14, abs=0.0)
         seen.add((profile.rank_case, profile.fprime0_divergence, profile.fsecond0_divergence))
     # the cases reach every branch the criteria decide
     assert {("both_full", None, None), ("one_deficient", "log", "inverse")} <= seen

@@ -9,8 +9,8 @@ The JSON comparison skips only each detector's ``criteria`` list, which
 the golden files predate.
 
 ``eig_counts.json`` holds the number of calls each default run makes to
-each numpy eigensolver, a machine-independent cost: a change that moves a
-count updates that file and says why.
+each numpy eigensolver and to ``complement``, machine-independent costs: a
+change that moves a count updates that file and says why.
 """
 
 import csv
@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cohpert import ScenarioConfig, run_scenario
+from cohpert import ScenarioConfig, info, perturbation, run_scenario
+from cohpert.channels import complement
 from cohpert.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -84,13 +85,20 @@ def test_scenario_reproduces_golden_json_report(name, tmp_path):
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_scenario_eig_counts_match_golden(name, tmp_path, monkeypatch):
-    counts = dict.fromkeys(EIG_SOLVERS, 0)
-    for solver in EIG_SOLVERS:
-        def counted(*args, solver=solver, fn=getattr(np.linalg, solver), **kwargs):
-            counts[solver] += 1
+    counts = dict.fromkeys(EIG_SOLVERS + ("complement",), 0)
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
             return fn(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, solver, counted)
+        return counted
+
+    for solver in EIG_SOLVERS:
+        monkeypatch.setattr(np.linalg, solver, counting(solver, getattr(np.linalg, solver)))
+    # both modules import complement by name, so each holds its own binding
+    for module in (info, perturbation):
+        monkeypatch.setattr(module, "complement", counting("complement", complement))
     run_scenario(ScenarioConfig(name, output=str(tmp_path), fmt="csv"))
     with open(GOLDEN / "eig_counts.json", encoding="utf-8") as fh:
         assert counts == json.load(fh)[name]

@@ -46,8 +46,8 @@ def test_negative_sense_swaps_sides_and_negates_margin(seed, shape, rank, scale)
 @given(seed=seeds, shape=shapes, rank=ranks)
 def test_complement_negates_coherent_information(seed, shape, rank):
     _, ch, state = _channel_and_state(seed, shape, rank)
-    direct = coherent_information(state, ch).value
-    assert coherent_information(state, complement(ch)).value == pytest.approx(-direct, abs=1e-12)
+    direct = coherent_information(state, ch)
+    assert coherent_information(state, complement(ch)) == pytest.approx(-direct, abs=1e-12)
 
 
 @PROPERTY_SETTINGS

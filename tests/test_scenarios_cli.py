@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from cohpert import RankCaseError, ScenarioConfig, run_custom, run_scenario
-from cohpert.channels import matrix_to_pairs
 from cohpert.cli import main
 from cohpert.perturbation import FamilyEvaluator
 from cohpert.scenarios import GridSpec, dephrasure_positive_ic_boundary, family_from_json
 
 from conftest import (
+    matrix_to_pairs,
     plain_images,
     plain_kernel_trace,
     plain_log_trace,
@@ -393,6 +393,10 @@ def test_cli_check_unknown_criterion_is_an_error(tmp_path, capsys):
         ({"family": "identity", "params": {"dim": 2.5}}, "dim"),
         ({"family": "erasure", "params": {"q": 0.1, "dim": True}}, "dim"),
         ({"family": "identity", "params": {"dim": 0}}, "dim"),
+        # a JSON true or string is not a number, though float() would take it
+        ({"family": "depolarizing", "params": {"p": True}}, "p"),
+        ({"family": "depolarizing", "params": {"p": "0.1"}}, "p"),
+        ({"family": "pauli", "params": {"probs": [True, False, False, False]}}, "probs"),
     ],
 )
 def test_cli_check_non_numeric_channel_parameter_is_an_error(tmp_path, capsys, channel, name):
@@ -416,8 +420,15 @@ def test_cli_check_non_numeric_channel_parameter_is_an_error(tmp_path, capsys, c
          "channel children must be a list"),
         (lambda config: {**config, "family": {**config["family"], "max_order": None}},
          "max_order must be an integer"),
+        (lambda config: {**config, "channel": {"family": "custom_kraus", "params": {"kraus": [
+            [[["1", 0.0], [0.0, 0.0]], [[0.0, 0.0], ["1", 0.0]]]]}}},
+         "matrix entries must be [re, im] pairs of numbers, got str"),
+        (lambda config: {**config, "family": {**config["family"], "base": [
+            [[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [False, 0.0]]]}},
+         "matrix entries must be [re, im] pairs of numbers, got bool"),
     ],
-    ids=["top_level_number", "kraus_number", "params_list", "children_number", "max_order_null"],
+    ids=["top_level_number", "kraus_number", "params_list", "children_number", "max_order_null",
+         "kraus_string_entry", "base_bool_entry"],
 )
 def test_cli_check_malformed_config_shape_is_an_error(tmp_path, capsys, edit, message):
     path = tmp_path / "check.json"
