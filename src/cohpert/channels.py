@@ -3,6 +3,9 @@
 Construction and CPTP validation, application to states, the canonical
 complementary channel, tensor products and the named channel families used
 throughout the package.  Channels are immutable and all operations are pure.
+A channel holds its Kraus operators as one read-only complex array of shape
+``(dim_env, dim_out, dim_in)``, and the channel algebra (tensor product,
+complement, application, the CPTP check) acts on that array whole.
 """
 
 from __future__ import annotations
@@ -79,44 +82,48 @@ class ChannelSpec:
 class QuantumChannel:
     """A CPTP map given by Kraus operators ``K_k`` of shape (dim_out, dim_in).
 
-    The number of Kraus operators fixes the environment dimension used by
-    the canonical complementary channel.
+    ``kraus`` is one read-only complex array of shape
+    ``(dim_env, dim_out, dim_in)`` whose slice ``kraus[k]`` is ``K_k``; the
+    number of Kraus operators fixes the environment dimension used by the
+    canonical complementary channel.
     """
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     dim_in: int
     dim_out: int
     dim_env: int
     spec: ChannelSpec | None = None
 
     def cptp_residual(self) -> float:
-        acc = sum(K.conj().T @ K for K in self.kraus)
-        return float(np.linalg.norm(acc - np.eye(self.dim_in)))
+        # sum_k K_k^dag K_k as one product of the stacked rows of every K_k
+        stacked = self.kraus.reshape(-1, self.dim_in)
+        return float(np.linalg.norm(stacked.conj().T @ stacked - np.eye(self.dim_in)))
 
 
 def make_channel(
-    kraus: Sequence[np.ndarray],
+    kraus: Union[Sequence[np.ndarray], np.ndarray],
     spec: ChannelSpec | None = None,
 ) -> QuantumChannel:
-    """Validate a Kraus set and wrap it as a channel.
+    """Validate a Kraus set, given as a sequence of matrices or as one
+    ``(dim_env, dim_out, dim_in)`` array, and wrap a copy of it as a channel.
 
     All operators must share one (dim_out, dim_in) shape and satisfy
     trace preservation ``sum_k K_k^dag K_k = 1`` within ``CPTP_TOL``.
     """
-    ops = [np.asarray(K, dtype=complex) for K in kraus]
-    if not ops:
+    if not isinstance(kraus, np.ndarray):
+        shapes = sorted({np.shape(K) for K in kraus})
+        if len(shapes) > 1:
+            raise DimensionError(f"Kraus shapes differ: {shapes}")
+    ops = _frozen(kraus)
+    if len(ops) == 0:
         raise ValueError("a channel needs at least one Kraus operator")
-    shape = ops[0].shape
-    if len(shape) != 2:
-        raise DimensionError(f"Kraus operators must be matrices, got shape {shape}")
-    for K in ops:
-        if K.shape != shape:
-            raise DimensionError(f"Kraus shapes differ: {K.shape} vs {shape}")
+    if ops.ndim != 3:
+        raise DimensionError(f"Kraus operators must be matrices, got shape {ops.shape[1:]}")
     ch = QuantumChannel(
-        kraus=tuple(_frozen(K) for K in ops),
-        dim_in=shape[1],
-        dim_out=shape[0],
-        dim_env=len(ops),
+        kraus=ops,
+        dim_in=ops.shape[2],
+        dim_out=ops.shape[1],
+        dim_env=ops.shape[0],
         spec=spec,
     )
     residual = ch.cptp_residual()
@@ -132,10 +139,7 @@ def apply_matrix(ch: QuantumChannel, m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (ch.dim_in, ch.dim_in):
         raise DimensionError(f"operator shape {m.shape} does not match dim_in {ch.dim_in}")
-    out = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
-    for K in ch.kraus:
-        out += K @ m @ K.conj().T
-    return out
+    return (ch.kraus @ m @ ch.kraus.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def apply(ch: QuantumChannel, rho: DensityMatrix, tol: Tolerances = DEFAULT) -> DensityMatrix:
@@ -150,19 +154,13 @@ def complement(ch: QuantumChannel) -> QuantumChannel:
     dilation ``V|x> = sum_k (K_k|x>) (x) |k>``; concretely its output is the
     Gram matrix ``[tr(K_k rho K_l^dag)]_{kl}``.  Its Kraus operators are
     ``L_m`` (one per output basis vector ``m``) with ``[L_m]_{k,:}`` equal to
-    row ``m`` of ``K_k``.
+    row ``m`` of ``K_k``: the Kraus array with its first two axes swapped.
     """
-    Ls = []
-    for m in range(ch.dim_out):
-        L = np.zeros((ch.dim_env, ch.dim_in), dtype=complex)
-        for k, K in enumerate(ch.kraus):
-            L[k, :] = K[m, :]
-        Ls.append(L)
     comp_spec = None
     if ch.spec is not None and ch.spec.family == "amplitude_damping":
         # the amplitude-damping complement is amplitude damping with 1-gamma
         comp_spec = ChannelSpec("amplitude_damping", {"gamma": 1.0 - float(ch.spec.params["gamma"])})
-    return make_channel(Ls, spec=comp_spec)
+    return make_channel(ch.kraus.transpose(1, 0, 2), spec=comp_spec)
 
 
 def tensor(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
@@ -178,11 +176,11 @@ def tensor(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
             f"tensor product dimension exceeds cap {DEFAULT_DIM_CAP}; "
             f"got in={a.dim_in * b.dim_in}, out={a.dim_out * b.dim_out}"
         )
-    kraus = [np.kron(Ka, Kb) for Ka in a.kraus for Kb in b.kraus]
     spec = None
     if a.spec is not None and b.spec is not None:
         spec = ChannelSpec("tensor", {}, (a.spec, b.spec))
-    return make_channel(kraus, spec=spec)
+    # the Kronecker product on all three axes: slice i * b.dim_env + j is kron(K_i, M_j)
+    return make_channel(np.kron(a.kraus, b.kraus), spec=spec)
 
 
 def tensor_all(channels: Sequence[QuantumChannel]) -> QuantumChannel:
@@ -208,13 +206,15 @@ def _number(what: str, value: object) -> float:
     return float(value)
 
 
-def _check_dimension(dim: object) -> int:
+def _check_dimension(dim: object, cap: int) -> int:
     """``dim`` as an ``int``, or a ``ValueError`` unless it is a whole number
-    of levels, at least 1 (``True`` is not a number of levels)."""
+    of levels, at least 1 (``True`` is not a number of levels) and at most ``cap``."""
     if isinstance(dim, float) and dim.is_integer():
         dim = int(dim)
     if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
         raise ValueError(f"parameter dim must be an integer of at least 1, got {dim!r}")
+    if dim > cap:
+        raise ValueError(f"parameter dim must be at most {cap}, got {dim!r}")
     return int(dim)
 
 
@@ -308,19 +308,15 @@ def dephrasure_channel(p: float, q: float) -> QuantumChannel:
 def erasure_channel(q: float, dim: int = 2) -> QuantumChannel:
     """Erasure to a flag level with probability ``q`` on a ``dim``-level input."""
     q = _check_unit_interval("q", q)
-    dim = _check_dimension(dim)
-    embed = np.zeros((dim + 1, dim), dtype=complex)
-    embed[:dim, :] = np.eye(dim)
-    kraus = [np.sqrt(1.0 - q) * embed]
-    for i in range(dim):
-        flag = np.zeros((dim + 1, dim), dtype=complex)
-        flag[dim, i] = 1.0
-        kraus.append(np.sqrt(q) * flag)
+    dim = _check_dimension(dim, DEFAULT_DIM_CAP - 1)  # the flag is one more output level
+    kraus = np.zeros((dim + 1, dim + 1, dim), dtype=complex)
+    kraus[0, :dim] = np.sqrt(1.0 - q) * np.eye(dim)
+    kraus[np.arange(1, dim + 1), dim, np.arange(dim)] = np.sqrt(q)  # K_{i+1} = sqrt(q)|flag><i|
     return make_channel(kraus, spec=ChannelSpec("erasure", {"q": q, "dim": dim}))
 
 
 def identity_channel(dim: int = 2) -> QuantumChannel:
-    dim = _check_dimension(dim)
+    dim = _check_dimension(dim, DEFAULT_DIM_CAP)
     return make_channel([np.eye(dim, dtype=complex)], spec=ChannelSpec("identity", {"dim": dim}))
 
 

@@ -4,6 +4,7 @@ import pytest
 from cohpert import (
     CPTPError,
     ChannelSpec,
+    QuantumChannel,
     DensityMatrix,
     DimensionError,
     amplitude_damping_channel,
@@ -20,8 +21,9 @@ from cohpert import (
     pauli_channel,
     platypus_channel,
     tensor,
+    tensor_all,
 )
-from cohpert.channels import matrix_from_pairs
+from cohpert.channels import DEFAULT_DIM_CAP, matrix_from_pairs
 from conftest import matrix_to_pairs, random_channel, random_density, random_pure
 
 
@@ -291,6 +293,80 @@ def test_custom_kraus_from_json_pairs():
     assert ch.dim_env == 1
     with pytest.raises(ValueError):
         matrix_from_pairs([[1.0, 0.0], [0.0, 1.0]])
+
+
+def test_kraus_is_one_read_only_copy_of_the_input():
+    kraus = np.array([np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.diag([1.0, -1.0])], dtype=complex)
+    for given in (kraus, list(kraus)):
+        ch = make_channel(given)
+        assert ch.kraus.shape == (ch.dim_env, ch.dim_out, ch.dim_in) == (2, 2, 2)
+        assert ch.kraus.dtype == complex
+        with pytest.raises(ValueError):
+            ch.kraus[0, 0, 0] = 5.0
+        kraus[0, 0, 0] = 5.0
+        assert ch.kraus[0, 0, 0] == np.sqrt(0.5)
+        kraus[0, 0, 0] = np.sqrt(0.5)
+
+
+@pytest.mark.parametrize(
+    "kraus, error",
+    [
+        ([], ValueError),
+        (np.zeros((0, 2, 2)), ValueError),
+        ([np.ones(2)], DimensionError),
+        (np.array([np.diag([1.0, 0.5])]), CPTPError),
+    ],
+)
+def test_make_channel_errors_for_lists_and_arrays(kraus, error):
+    with pytest.raises(error):
+        make_channel(kraus)
+
+
+def test_tensor_and_complement_check_trace_preservation():
+    leaky = np.array([np.diag([1.0, 0.5])], dtype=complex)
+    unchecked = QuantumChannel(kraus=leaky, dim_in=2, dim_out=2, dim_env=1)
+    with pytest.raises(CPTPError):
+        tensor(unchecked, identity_channel(2))
+    with pytest.raises(CPTPError):
+        complement(unchecked)
+
+
+def test_tensor_equals_kron_of_each_kraus_pair_exactly():
+    chans = [depolarizing_channel(0.2), dephrasure_channel(0.1, 0.3), platypus_channel(0.4)]
+    joint = tensor_all(chans)
+    kron = [np.kron(np.kron(a, b), c) for a in chans[0].kraus for b in chans[1].kraus for c in chans[2].kraus]
+    assert (joint.dim_env, joint.dim_out, joint.dim_in) == (32, 18, 12)
+    assert np.array_equal(joint.kraus, np.array(kron))
+
+
+def test_complement_equals_row_copy_construction_exactly(rng):
+    for ch in (random_channel(rng, 3, 2, 4), tensor(dephrasure_channel(0.1, 0.3), platypus_channel(0.4))):
+        rows = []
+        for m in range(ch.dim_out):
+            L = np.zeros((ch.dim_env, ch.dim_in), dtype=complex)
+            for k, K in enumerate(ch.kraus):
+                L[k, :] = K[m, :]
+            rows.append(L)
+        assert np.array_equal(complement(ch).kraus, np.array(rows))
+
+
+@pytest.mark.parametrize("d_out", [4, 16, 64])
+def test_apply_matrix_matches_kraus_loop(d_out):
+    rng = np.random.default_rng(d_out)
+    d = int(round(d_out**0.5))
+    ch = random_channel(rng, d, d_out, d)
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    want = kraus_oracle(ch.kraus, m)
+    assert np.linalg.norm(apply_matrix(ch, m) - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_dim_is_capped_before_anything_is_built():
+    assert identity_channel(DEFAULT_DIM_CAP).dim_out == DEFAULT_DIM_CAP
+    with pytest.raises(ValueError, match="^parameter dim must be at most 256, got 257$"):
+        identity_channel(DEFAULT_DIM_CAP + 1)
+    # the erasure flag adds one output level
+    with pytest.raises(ValueError, match="^parameter dim must be at most 255, got 256$"):
+        erasure_channel(0.1, DEFAULT_DIM_CAP)
 
 
 def test_apply_dimension_mismatch():

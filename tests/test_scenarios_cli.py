@@ -397,6 +397,9 @@ def test_cli_check_unknown_criterion_is_an_error(tmp_path, capsys):
         ({"family": "depolarizing", "params": {"p": True}}, "p"),
         ({"family": "depolarizing", "params": {"p": "0.1"}}, "p"),
         ({"family": "pauli", "params": {"probs": [True, False, False, False]}}, "probs"),
+        # input and output dimensions stay within DEFAULT_DIM_CAP (256)
+        ({"family": "identity", "params": {"dim": 257}}, "dim"),
+        ({"family": "erasure", "params": {"q": 0.1, "dim": 10**7}}, "dim"),
     ],
 )
 def test_cli_check_non_numeric_channel_parameter_is_an_error(tmp_path, capsys, channel, name):
